@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -125,92 +124,25 @@ AdmissionController::AdmissionController(Topology topology,
                                          const PlanHandle& plans,
                                          SlotInput offered,
                                          double burst_margin)
-    : topology_(std::move(topology)),
-      plans_(plans),
-      burst_margin_(burst_margin) {
-  topology_.validate();
-  MutexLock lock(compile_mutex_);
-  offered_ = std::move(offered);
-  offered_epoch_ = 1;
+    : SnapshotCompiler(
+          plans, AdmissionSource{topology, std::move(offered), burst_margin},
+          [](const AdmissionSource& source, const DispatchPlan& plan,
+             std::uint64_t plan_version) {
+            return AdmissionTable::compile(source.topology, plan, plan_version,
+                                           source.offered, source.burst_margin);
+          }) {
+  topology.validate();
 }
 
 void AdmissionController::set_offered(const SlotInput& offered) {
-  MutexLock lock(compile_mutex_);
-  offered_ = offered;
-  ++offered_epoch_;
-  // Recompile right away (when a plan exists): admit() only polls for
-  // *plan-version* staleness on the fast path, so an offered-mix change
-  // must not wait for the next publish to take effect.
-  refresh_locked();
-}
-
-std::shared_ptr<const AdmissionTable> AdmissionController::table() const {
-  MutexLock lock(table_mutex_);
-  return table_;
-}
-
-std::uint64_t AdmissionController::table_version() const {
-  MutexLock lock(table_mutex_);
-  return table_ ? table_->plan_version() : 0;
-}
-
-bool AdmissionController::refresh_locked() const {
-  // An offered-mix bump forces a recompile even at an unchanged plan
-  // version; acquire_if_newer(0) returns the current snapshot whenever
-  // any plan has been published.
-  const bool stale_epoch = compiled_epoch_ != offered_epoch_;
-  const std::uint64_t have = stale_epoch ? 0 : table_version();
-  const std::optional<PlanHandle::Snapshot> snap =
-      plans_.acquire_if_newer(have);
-  if (!snap) return false;
-  // Compile outside table_mutex_ — the Dispatcher's exact discipline:
-  // readers keep admitting on the incumbent table for the whole build
-  // and only wait out the pointer swap.
-  auto compiled = std::make_shared<const AdmissionTable>(AdmissionTable::compile(
-      topology_, *snap->plan, snap->version, offered_, burst_margin_));
-  compiled_epoch_ = offered_epoch_;
-  {
-    MutexLock lock(table_mutex_);
-    table_ = std::move(compiled);
-  }
-  rebuilds_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-bool AdmissionController::refresh() const {
-  MutexLock lock(compile_mutex_);
-  return refresh_locked();
-}
-
-bool AdmissionController::try_refresh() const {
-  if (!compile_mutex_.try_lock()) {
-    // A peer is compiling this very swap; keep deciding on the
-    // incumbent table rather than stalling behind the build.
-    refresh_skips_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  const bool swapped = refresh_locked();
-  compile_mutex_.unlock();
-  return swapped;
+  update([&](AdmissionSource& source) { source.offered = offered; });
 }
 
 bool AdmissionController::admit(std::size_t klass, std::size_t frontend,
                                 std::uint64_t request_id) const {
-  std::shared_ptr<const AdmissionTable> table = this->table();
-  const std::uint64_t published = plans_.version();
-  if (!table || table->plan_version() < published) {
-    try_refresh();
-    table = this->table();
-  }
+  const std::shared_ptr<const AdmissionTable> table = fresh_table();
   if (!table) return true;  // no plan yet: route() reports kNoRoute anyway
   return table->admit(klass, frontend, request_id);
-}
-
-AdmissionController::Stats AdmissionController::stats() const {
-  Stats out;
-  out.rebuilds = rebuilds_.load(std::memory_order_relaxed);
-  out.refresh_skips = refresh_skips_.load(std::memory_order_relaxed);
-  return out;
 }
 
 }  // namespace palb::serve

@@ -2,13 +2,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "cloud/model.hpp"
 #include "core/plan_handle.hpp"
-#include "util/annotations.hpp"
-#include "util/mutex.hpp"
+#include "serve/snapshot_compiler.hpp"
 
 namespace palb::serve {
 
@@ -72,89 +70,43 @@ class AdmissionTable {
   std::vector<double> fraction_;
 };
 
-/// Follows a PlanHandle the way the Dispatcher does — compile on version
-/// change, hot-swap an immutable table under a pointer lock — but for
-/// admission decisions. Sits *in front of* routing on the fast path:
+/// What an AdmissionController compiles its tables from, besides the plan.
+struct AdmissionSource {
+  Topology topology;
+  SlotInput offered;
+  double burst_margin = 0.0;
+};
+
+/// A SnapshotCompiler of AdmissionTables (the Dispatcher's hot swap,
+/// serve/snapshot_compiler.hpp) plus admit(), the gate in front of
+/// routing on the fast path:
 ///
 ///   if (!admission.admit(k, s, id)) return shed;
 ///   return dispatcher.route(k, s, id);
-///
-/// Writer side mirrors the Dispatcher's two-mutex discipline exactly:
-/// compile_mutex_ serializes table builds (held across the whole
-/// compile, readers unaffected), table_mutex_ guards only the pointer
-/// swap and is a K2 fast-path mutex (tools/palb_analyze/layers.txt).
-/// try_refresh() never blocks a reader behind a peer's compile.
-///
-/// The offered mix is part of admission sizing, so set_offered()
-/// invalidates the compiled table even when the plan version has not
-/// moved (the chaos harness re-points it every slot as demand-surge
-/// faults reshape the offered load).
-class AdmissionController {
+class AdmissionController
+    : private SnapshotCompiler<AdmissionTable, AdmissionSource> {
  public:
-  struct Stats {
-    std::uint64_t rebuilds = 0;       ///< tables compiled and swapped in
-    std::uint64_t refresh_skips = 0;  ///< try_refresh found a peer compiling
-  };
+  using Stats = SnapshotStats;
 
-  /// `plans` is not owned and must outlive the controller. `offered` is
-  /// copied.
+  /// `plans` is not owned and must outlive the controller.
   AdmissionController(Topology topology, const PlanHandle& plans,
                       SlotInput offered, double burst_margin = 0.05);
 
-  AdmissionController(const AdmissionController&) = delete;
-  AdmissionController& operator=(const AdmissionController&) = delete;
+  /// Replaces the offered mix — part of admission sizing — and
+  /// recompiles at once, even at an unchanged plan version (the chaos
+  /// harness re-points it every slot as demand surges reshape the load).
+  void set_offered(const SlotInput& offered);
 
-  /// Replaces the offered mix and invalidates the compiled table; the
-  /// next refresh()/try_refresh() recompiles against the new mix.
-  void set_offered(const SlotInput& offered)
-      PALB_EXCLUDES(compile_mutex_, table_mutex_);
-
-  /// Current immutable table snapshot (null before the first plan is
-  /// published and compiled). Hold it across a request batch, exactly
-  /// like Dispatcher::tables().
-  std::shared_ptr<const AdmissionTable> table() const
-      PALB_EXCLUDES(table_mutex_);
-
-  /// Recompiles and swaps iff the plan handle has advanced past the
-  /// compiled version (or set_offered invalidated the table). Returns
-  /// true when a new table was swapped in.
-  bool refresh() const PALB_EXCLUDES(compile_mutex_, table_mutex_);
-
-  /// refresh() that declines to wait behind a peer's compile.
-  bool try_refresh() const PALB_EXCLUDES(compile_mutex_, table_mutex_);
-
-  /// One-shot coherent admit: refreshes opportunistically when stale,
-  /// then decides. Admits everything before the first plan compiles
-  /// (routing reports kNoRoute then anyway).
+  /// One-shot coherent admit. Admits everything before the first plan
+  /// compiles (routing reports kNoRoute then anyway).
   bool admit(std::size_t klass, std::size_t frontend,
-             std::uint64_t request_id) const
-      PALB_EXCLUDES(compile_mutex_, table_mutex_);
+             std::uint64_t request_id) const;
 
-  /// Plan version of the current table (0 = none compiled yet).
-  std::uint64_t table_version() const PALB_EXCLUDES(table_mutex_);
-
-  Stats stats() const;
-
- private:
-  bool refresh_locked() const PALB_REQUIRES(compile_mutex_)
-      PALB_EXCLUDES(table_mutex_);
-
-  Topology topology_;
-  const PlanHandle& plans_;
-  double burst_margin_;
-  /// Fixed order: compile_mutex_ before table_mutex_ — the Dispatcher's
-  /// exact idiom (dispatcher.hpp), and the same K2 designation.
-  mutable Mutex compile_mutex_;
-  mutable Mutex table_mutex_ PALB_ACQUIRED_AFTER(compile_mutex_);
-  SlotInput offered_ PALB_GUARDED_BY(compile_mutex_);
-  /// Bumped by set_offered(); a table is stale when its epoch or plan
-  /// version lags.
-  std::uint64_t offered_epoch_ PALB_GUARDED_BY(compile_mutex_) = 0;
-  mutable std::uint64_t compiled_epoch_ PALB_GUARDED_BY(compile_mutex_) = 0;
-  mutable std::shared_ptr<const AdmissionTable> table_
-      PALB_GUARDED_BY(table_mutex_);
-  mutable std::atomic<std::uint64_t> rebuilds_{0};
-  mutable std::atomic<std::uint64_t> refresh_skips_{0};
+  using SnapshotCompiler::refresh;
+  using SnapshotCompiler::stats;
+  using SnapshotCompiler::table;
+  using SnapshotCompiler::table_version;
+  using SnapshotCompiler::try_refresh;
 };
 
 }  // namespace palb::serve

@@ -79,7 +79,7 @@ struct ChaosReport {
   std::size_t max_stale_slots = 0;
   double mean_stale_slots = 0.0;
 
-  /// Summed Dispatcher stall count across every replay — contractually
+  /// Summed Dispatcher stall count across every replay — structurally
   /// 0 (the "dispatcher keeps serving" acceptance gate).
   std::uint64_t stalled_routes = 0;
   /// True iff every slot's decision recording compared equal across all

@@ -1,87 +1,23 @@
 #include "serve/dispatcher.hpp"
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <utility>
 
 #include "core/plan_handle.hpp"
 #include "serve/routing_table.hpp"
-#include "util/mutex.hpp"
 
 namespace palb::serve {
 
 Dispatcher::Dispatcher(Topology topology, const PlanHandle& plans)
-    : topology_(std::move(topology)), plans_(plans) {
-  topology_.validate();
-}
-
-std::shared_ptr<const RoutingTable> Dispatcher::tables() const {
-  MutexLock lock(table_mutex_);
-  return tables_;
-}
-
-std::uint64_t Dispatcher::table_version() const {
-  MutexLock lock(table_mutex_);
-  return tables_ ? tables_->plan_version() : 0;
-}
-
-bool Dispatcher::refresh_locked() const {
-  const std::uint64_t have = table_version();
-  const std::optional<PlanHandle::Snapshot> snap =
-      plans_.acquire_if_newer(have);
-  if (!snap) return false;
-  // Compile outside table_mutex_: readers keep routing on the incumbent
-  // table for the whole build and only wait out the pointer swap.
-  auto compiled = std::make_shared<const RoutingTable>(
-      RoutingTable::compile(topology_, *snap->plan, snap->version));
-  {
-    MutexLock lock(table_mutex_);
-    tables_ = std::move(compiled);
-  }
-  rebuilds_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-bool Dispatcher::refresh() const {
-  MutexLock lock(compile_mutex_);
-  return refresh_locked();
-}
-
-bool Dispatcher::try_refresh() const {
-  if (!compile_mutex_.try_lock()) {
-    // A peer is compiling this very swap; routing continues on the
-    // incumbent table rather than stalling behind the build.
-    refresh_skips_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  const bool swapped = refresh_locked();
-  compile_mutex_.unlock();
-  return swapped;
+    : SnapshotCompiler(plans, topology, &RoutingTable::compile) {
+  topology.validate();
 }
 
 Route Dispatcher::route(std::size_t klass, std::size_t frontend,
                         std::uint64_t request_id) const {
-  std::shared_ptr<const RoutingTable> table = tables();
-  const std::uint64_t published = plans_.version();
-  if (!table || table->plan_version() < published) {
-    // Stale (or never compiled): rebuild opportunistically. try_refresh
-    // never blocks, so a route cannot stall on a concurrent swap — if
-    // it ever did, stalled_routes would record the contract breach.
-    try_refresh();
-    table = tables();
-  }
+  const std::shared_ptr<const RoutingTable> table = fresh_table();
   if (!table) return Route{RouteStatus::kNoRoute, 0, 0};
   return table->route(klass, frontend, request_id);
-}
-
-Dispatcher::Stats Dispatcher::stats() const {
-  Stats out;
-  out.rebuilds = rebuilds_.load(std::memory_order_relaxed);
-  out.refresh_skips = refresh_skips_.load(std::memory_order_relaxed);
-  out.stalled_routes = stalled_routes_.load(std::memory_order_relaxed);
-  return out;
 }
 
 }  // namespace palb::serve

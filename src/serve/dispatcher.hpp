@@ -1,113 +1,47 @@
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
 #include "cloud/model.hpp"
 #include "core/plan_handle.hpp"
 #include "serve/routing_table.hpp"
-#include "util/annotations.hpp"
-#include "util/mutex.hpp"
+#include "serve/snapshot_compiler.hpp"
 
 namespace palb::serve {
 
 /// The online fast path: routes individual requests against the plan
 /// the slow path (AsyncPlanner / ResilientController) last published
-/// into a PlanHandle, via per-front-end RoutingTables that hot-swap on
-/// version change.
+/// into a PlanHandle — a SnapshotCompiler of RoutingTables plus route().
 ///
-/// Reader side — two surfaces, both safe from any number of threads:
-///
-///  * route() is the coherent one-shot: it detects a stale table
-///    (including the rung-5 shed-all transition, where the new plan
-///    routes *nothing* and the old table must not keep serving its
-///    destinations), rebuilds opportunistically, and routes. A reader
-///    never blocks on a swap: if another thread is already compiling,
-///    route() serves from the incumbent table and moves on — that is
-///    the zero-stall contract tests/test_plan_swap_coherence.cpp
-///    hammers, and Stats::stalled_routes counts any violation (always
-///    0 by construction).
-///
-///  * tables() + refresh() is the batch hot path the QPS driver uses:
-///    hold the immutable table snapshot across a batch of requests
-///    (route() on a RoutingTable is pure arithmetic, no locks), and
-///    poll refresh() between batches. The snapshot stays valid while
-///    held — RCU via shared_ptr, exactly PlanHandle's grace period.
-///
-/// Writer side: refresh() serializes compiles on compile_mutex_, swaps
-/// the table pointer under table_mutex_ (the same TSan-visible
-/// guarded-shared_ptr idiom as PlanHandle), and stamps every table
-/// with the plan version it was compiled from — so each routed request
-/// is attributable to exactly one publish.
-class Dispatcher {
+/// Two reader surfaces, both safe from any number of threads: route()
+/// is the coherent one-shot (rebuilds a stale table opportunistically,
+/// never blocks on a swap); tables() + try_refresh() is the batch hot
+/// path the QPS driver uses — hold the immutable snapshot across a batch
+/// (RoutingTable::route is pure arithmetic) and poll between batches.
+class Dispatcher : private SnapshotCompiler<RoutingTable, Topology> {
  public:
-  struct Stats {
-    std::uint64_t rebuilds = 0;       ///< tables compiled and swapped in
-    std::uint64_t refresh_skips = 0;  ///< try_refresh found a peer compiling
-    std::uint64_t stalled_routes = 0; ///< routes that blocked on a swap:
-                                      ///< the contract says never
+  struct Stats : SnapshotStats {
+    /// Routes that blocked on a swap: structurally 0, since route() only
+    /// ever try_refresh()es. Kept for the palb-qps-v1 / palb-chaos-v1
+    /// reports, whose gates read it.
+    std::uint64_t stalled_routes = 0;
   };
 
   /// `plans` is not owned and must outlive the dispatcher.
   Dispatcher(Topology topology, const PlanHandle& plans);
 
-  Dispatcher(const Dispatcher&) = delete;
-  Dispatcher& operator=(const Dispatcher&) = delete;
-
-  /// Routes one class-`klass` request arriving at front-end `frontend`.
-  /// Coherent: serves from a table no older than the newest plan that
-  /// was published before this call began, except while a peer holds
-  /// the compile lock (then the incumbent table is used — no waiting).
+  /// Routes one class-`klass` request arriving at front-end `frontend`;
+  /// kNoRoute (version 0) before the first plan is compiled.
   Route route(std::size_t klass, std::size_t frontend,
-              std::uint64_t request_id) const
-      PALB_EXCLUDES(compile_mutex_, table_mutex_);
+              std::uint64_t request_id) const;
 
-  /// Current immutable table snapshot (null before the first plan is
-  /// published and compiled). Wait-free apart from the brief pointer
-  /// copy; hold it across a request batch and poll refresh() between
-  /// batches.
-  std::shared_ptr<const RoutingTable> tables() const
-      PALB_EXCLUDES(table_mutex_);
-
-  /// Recompiles and swaps the tables iff the plan handle has advanced
-  /// past the compiled version. Serializes with concurrent refreshers;
-  /// returns true when a new table was swapped in.
-  bool refresh() const PALB_EXCLUDES(compile_mutex_, table_mutex_);
-
-  /// refresh() that declines to wait: if another thread is already
-  /// compiling, returns false immediately (counted in
-  /// Stats::refresh_skips) — the caller keeps routing on the incumbent
-  /// table instead of stalling.
-  bool try_refresh() const PALB_EXCLUDES(compile_mutex_, table_mutex_);
-
-  /// Plan version of the current tables (0 = none compiled yet).
-  std::uint64_t table_version() const PALB_EXCLUDES(table_mutex_);
-
-  /// Version of the newest *published* plan — table_version() lags it
-  /// exactly while a swap is pending.
-  std::uint64_t plan_version() const { return plans_.version(); }
-
-  const Topology& topology() const { return topology_; }
-
-  Stats stats() const;
-
- private:
-  bool refresh_locked() const PALB_REQUIRES(compile_mutex_)
-      PALB_EXCLUDES(table_mutex_);
-
-  Topology topology_;
-  const PlanHandle& plans_;
-  /// Fixed order: compile_mutex_ before table_mutex_. The compile lock
-  /// is held across a whole table build (one writer at a time, readers
-  /// unaffected); the table lock guards only the pointer copy/swap.
-  mutable Mutex compile_mutex_;
-  mutable Mutex table_mutex_ PALB_ACQUIRED_AFTER(compile_mutex_);
-  mutable std::shared_ptr<const RoutingTable> tables_
-      PALB_GUARDED_BY(table_mutex_);
-  mutable std::atomic<std::uint64_t> rebuilds_{0};
-  mutable std::atomic<std::uint64_t> refresh_skips_{0};
-  mutable std::atomic<std::uint64_t> stalled_routes_{0};
+  std::shared_ptr<const RoutingTable> tables() const { return table(); }
+  using SnapshotCompiler::refresh;
+  using SnapshotCompiler::table_version;
+  using SnapshotCompiler::try_refresh;
+  Stats stats() const { return Stats{SnapshotCompiler::stats()}; }
 };
 
 }  // namespace palb::serve

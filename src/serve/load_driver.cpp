@@ -67,16 +67,22 @@ struct ThreadTally {
   }
 };
 
+/// One driver thread's table and gate snapshots, re-taken at every batch
+/// boundary (no gate without QpsOptions::admission).
+struct Snapshots {
+  std::shared_ptr<const RoutingTable> table;
+  std::shared_ptr<const AdmissionTable> gate;
+};
+
 /// The full per-request decision with the admission gate in front: a
 /// rejected request is shed (stamped with the gate's plan version) and
 /// never reaches the routing table.
-Route decide(const RoutingTable* table, const AdmissionTable* gate,
-             const RequestStream::Request& req) {
-  if (gate != nullptr && !gate->admit(req.klass, req.frontend, req.id)) {
-    return Route{RouteStatus::kShed, 0, gate->plan_version()};
+Route decide(const Snapshots& snap, const RequestStream::Request& req) {
+  if (snap.gate && !snap.gate->admit(req.klass, req.frontend, req.id)) {
+    return Route{RouteStatus::kShed, 0, snap.gate->plan_version()};
   }
-  if (table == nullptr) return Route{};
-  return table->route(req.klass, req.frontend, req.id);
+  if (!snap.table) return Route{};
+  return snap.table->route(req.klass, req.frontend, req.id);
 }
 
 /// The recorded decision word (load_driver.hpp, QpsReport::decisions).
@@ -176,6 +182,19 @@ QpsReport run_qps(const Dispatcher& dispatcher, const RequestStream& stream,
   if (admission != nullptr) admission->refresh();
   report.clock_overhead_ns = fixed ? 0.0 : calibrate_clock_overhead_ns();
 
+  // Batch boundary, shared by both modes: pick up any freshly published
+  // plan. Never blocks — a peer mid-compile means the thread keeps the
+  // incumbent tables.
+  const auto pick_up = [&] {
+    dispatcher.try_refresh();
+    Snapshots snap{dispatcher.tables(), nullptr};
+    if (admission != nullptr) {
+      admission->try_refresh();
+      snap.gate = admission->table();
+    }
+    return snap;
+  };
+
   const Dispatcher::Stats before = dispatcher.stats();
   std::vector<ThreadTally> tallies(threads);
   std::vector<std::thread> drivers;
@@ -196,21 +215,12 @@ QpsReport run_qps(const Dispatcher& dispatcher, const RequestStream& stream,
       offset += count;
       drivers.emplace_back([&, t, first, count] {
         ThreadTally& tally = tallies[t];
-        std::shared_ptr<const RoutingTable> table = dispatcher.tables();
-        std::shared_ptr<const AdmissionTable> gate =
-            admission != nullptr ? admission->table() : nullptr;
+        Snapshots snap;
         for (std::uint64_t n = 0; n < count; ++n) {
-          if (n % refresh_every == 0) {
-            dispatcher.try_refresh();
-            table = dispatcher.tables();
-            if (admission != nullptr) {
-              admission->try_refresh();
-              gate = admission->table();
-            }
-          }
+          if (n % refresh_every == 0) snap = pick_up();
           const std::uint64_t index = first + n;
           const RequestStream::Request req = stream.at(index);
-          const Route route = decide(table.get(), gate.get(), req);
+          const Route route = decide(snap, req);
           tally.count(route);
           if (!report.decisions.empty()) {
             report.decisions[index] = decision_word(route);
@@ -231,22 +241,20 @@ QpsReport run_qps(const Dispatcher& dispatcher, const RequestStream& stream,
         // without shared state; 2^40 indices per thread is days of
         // headroom at any realistic rate.
         const std::uint64_t first = static_cast<std::uint64_t>(t) << 40;
-        std::shared_ptr<const RoutingTable> table = dispatcher.tables();
-        std::shared_ptr<const AdmissionTable> gate =
-            admission != nullptr ? admission->table() : nullptr;
         // Countdown gate instead of `n % sample_every`: the unsampled
         // fast path pays one predictable dec-and-branch, not a 64-bit
         // modulo per request.
         std::uint64_t until_sample = 1;
         std::uint64_t n = 0;
         while (Clock::now() < deadline) {
+          const Snapshots snap = pick_up();
           const std::uint64_t batch_end = n + refresh_every;
           for (; n < batch_end; ++n) {
             const RequestStream::Request req = stream.at(first + n);
             if (--until_sample == 0) {
               until_sample = sample_every;
               const auto t0 = Clock::now();
-              const Route route = decide(table.get(), gate.get(), req);
+              const Route route = decide(snap, req);
               const auto t1 = Clock::now();
               tally.count(route);
               const double raw =
@@ -255,16 +263,8 @@ QpsReport run_qps(const Dispatcher& dispatcher, const RequestStream& stream,
               tally.latency_ns.push_back(
                   std::max(0.0, raw - report.clock_overhead_ns));
             } else {
-              tally.count(decide(table.get(), gate.get(), req));
+              tally.count(decide(snap, req));
             }
-          }
-          // Batch boundary: pick up any freshly published plan. Never
-          // blocks — a peer mid-compile means we keep the incumbent.
-          dispatcher.try_refresh();
-          table = dispatcher.tables();
-          if (admission != nullptr) {
-            admission->try_refresh();
-            gate = admission->table();
           }
         }
       });
@@ -300,8 +300,6 @@ QpsReport run_qps(const Dispatcher& dispatcher, const RequestStream& stream,
   report.dispatcher.rebuilds = after.rebuilds - before.rebuilds;
   report.dispatcher.refresh_skips =
       after.refresh_skips - before.refresh_skips;
-  report.dispatcher.stalled_routes =
-      after.stalled_routes - before.stalled_routes;
   return report;
 }
 

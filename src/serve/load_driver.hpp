@@ -101,7 +101,7 @@ struct QpsReport {
   std::uint64_t min_plan_version = 0;
   std::uint64_t max_plan_version = 0;
   /// Dispatcher counter deltas over this run: table rebuilds, benign
-  /// refresh skips, and the plan-swap stall count (contractually 0).
+  /// refresh skips, and the plan-swap stall count (structurally 0).
   Dispatcher::Stats dispatcher;
   /// Fixed mode with record_decisions: one word per stream index —
   /// 0 for no-route, (plan_version << 16) | (dc + 1) for a routed
