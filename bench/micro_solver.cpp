@@ -11,8 +11,10 @@
 //
 // The check mode plans the deterministic fig06 (worldcup) scenario
 // serially, compares the total simplex pivot count against the
-// checked-in baseline (>10% growth fails), and micro-asserts that dense
-// LP *construction* stays sub-dominant to solving (the add_term path
+// checked-in baseline (>10% growth fails), replays a fixed local-search
+// fixture (profiles examined and pivots may not grow, profiles pruned
+// may not shrink, by more than 10%), and micro-asserts that dense LP
+// *construction* stays sub-dominant to solving (the add_term path
 // regressing to quadratic once cost more than the solves it fed).
 
 #include <benchmark/benchmark.h>
@@ -26,6 +28,7 @@
 #include "core/controller.hpp"
 #include "core/optimized_policy.hpp"
 #include "core/paper_scenarios.hpp"
+#include "core/scenario_gen.hpp"
 #include "solver/decomposed.hpp"
 #include "solver/milp.hpp"
 #include "solver/nlp.hpp"
@@ -132,6 +135,12 @@ struct PivotCounts {
   std::uint64_t sparse_price_skips = 0;
 };
 
+struct SearchCounts {
+  std::uint64_t profiles_examined = 0;
+  std::uint64_t profiles_pruned = 0;
+  std::uint64_t simplex_pivots = 0;
+};
+
 struct DecompCounts {
   std::uint64_t master_iterations = 0;
   std::uint64_t subproblem_solves = 0;
@@ -157,6 +166,32 @@ PivotCounts measure_fig06_pivots() {
   c.basis_warm_hits = run.stats.basis_warm_hits;
   c.profiles_examined = run.stats.profiles_examined;
   c.sparse_price_skips = run.stats.sparse_price_skips;
+  return c;
+}
+
+// Local-search fixture: a generated 2-class x 8-front-end x 12-DC fleet
+// with up to 3 TUF levels (at least 2^24 profiles, far past
+// enumeration; with every cell on, a profile LP has 192 routing arcs and
+// reaches the Dantzig-Wolfe threshold), planned serially for 8 slots.
+// The search is serial and first-improvement and every LP's pivot path
+// is deterministic, so its counts are exact machine-independent numbers.
+constexpr std::size_t kLocalSearchSlots = 8;
+
+SearchCounts measure_local_search() {
+  scenario_gen::Options shape;
+  shape.min_classes = shape.max_classes = 2;
+  shape.min_frontends = shape.max_frontends = 8;
+  shape.min_datacenters = shape.max_datacenters = 12;
+  shape.max_tuf_levels = 3;
+  shape.zero_rate_probability = 0.0;
+  shape.slots = kLocalSearchSlots;
+  SlotController controller(scenario_gen::generate(9, shape));
+  OptimizedPolicy policy;
+  const RunResult run = controller.run(policy, kLocalSearchSlots);
+  SearchCounts c;
+  c.profiles_examined = run.stats.profiles_examined;
+  c.profiles_pruned = run.stats.profiles_pruned;
+  c.simplex_pivots = run.stats.lp_iterations;
   return c;
 }
 
@@ -229,6 +264,7 @@ bool model_build_stays_subdominant() {
 int write_pivot_baseline(const std::string& path) {
   const PivotCounts c = measure_fig06_pivots();
   const DecompCounts d = measure_decomposition_fixture();
+  const SearchCounts ls = measure_local_search();
   Json doc = Json::object();
   doc.set("schema", Json(std::string(kPivotSchema)));
   doc.set("scenario", Json(std::string("worldcup")));
@@ -244,6 +280,12 @@ int write_pivot_baseline(const std::string& path) {
           Json(static_cast<double>(d.master_iterations)));
   doc.set("dw_subproblem_solves",
           Json(static_cast<double>(d.subproblem_solves)));
+  doc.set("local_search_profiles_examined",
+          Json(static_cast<double>(ls.profiles_examined)));
+  doc.set("local_search_profiles_pruned",
+          Json(static_cast<double>(ls.profiles_pruned)));
+  doc.set("local_search_simplex_pivots",
+          Json(static_cast<double>(ls.simplex_pivots)));
   std::ofstream os(path);
   if (!os) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
@@ -318,6 +360,39 @@ int check_pivot_baseline(const std::string& path) {
                    "--write-pivots\n",
                    100.0 * kPivotHeadroom);
       ok = false;
+    }
+  }
+  // Local-search gate: the same 10% headroom, pointed the way each
+  // count regresses — examined profiles and pivots grow, pruned
+  // profiles shrink when the neighbor prune stops firing.
+  {
+    const SearchCounts ls = measure_local_search();
+    struct Gate {
+      const char* key;
+      std::uint64_t measured;
+      bool higher_is_worse;
+    };
+    const Gate gates[] = {
+        {"local_search_profiles_examined", ls.profiles_examined, true},
+        {"local_search_profiles_pruned", ls.profiles_pruned, false},
+        {"local_search_simplex_pivots", ls.simplex_pivots, true},
+    };
+    for (const Gate& g : gates) {
+      const double base = doc.at(g.key).as_number();
+      const double measured = static_cast<double>(g.measured);
+      const bool regressed =
+          g.higher_is_worse ? measured > base * (1.0 + kPivotHeadroom)
+                            : measured < base * (1.0 - kPivotHeadroom);
+      std::printf("local search: %s=%llu (baseline %.0f)\n", g.key,
+                  static_cast<unsigned long long>(g.measured), base);
+      if (regressed) {
+        std::fprintf(stderr,
+                     "FAIL: %s regressed more than %.0f%% against the "
+                     "baseline; if intentional, refresh with "
+                     "--write-pivots\n",
+                     g.key, 100.0 * kPivotHeadroom);
+        ok = false;
+      }
     }
   }
   if (static_cast<double>(c.simplex_pivots) > limit) {

@@ -127,6 +127,104 @@ class BestTracker {
   ProfileOutcome best_ PALB_GUARDED_BY(mutex_);
 };
 
+/// Everything a profile evaluation reads that does not depend on the
+/// profile, compiled once per plan_slot. Every entry is the expression
+/// the per-profile code would evaluate, in the same operand order, so
+/// reading the table is bit-identical to recomputing from the topology.
+/// A band is one (class k, DC l, TUF level q) triple, flattened by
+/// band().
+struct SlotTable {
+  SlotTable(const Topology& topology, const SlotInput& slot_input,
+            const OptimizedPolicy::Options& opt);
+
+  std::size_t band(std::size_t k, std::size_t l, int level) const {
+    return (k * L + l) * Q + static_cast<std::size_t>(level);
+  }
+
+  const Topology& topo;
+  const SlotInput& input;
+  std::size_t K, S, L;
+  std::size_t Q = 0;  ///< most TUF levels of any class: the band stride
+  /// Per band: the effective queue deadline after the worst routed
+  /// propagation of its (k, l) stream. <= 0 marks a band the wire alone
+  /// puts out of reach.
+  std::vector<units::Seconds> deadline;
+  /// Per reachable band: the per-server share it costs, 1 / (D * C * mu).
+  std::vector<double> share;
+  /// Per (band, front-end s) at band * S + s: the value coefficient
+  /// (U_q + drop penalty - energy - wire) * T of one unit of rate routed
+  /// s -> l, before the profile's idle term.
+  std::vector<double> head;
+  /// Per DC: the idle term's numerator, idle kW * price * PUE * hours.
+  std::vector<double> idle;
+};
+
+SlotTable::SlotTable(const Topology& topology, const SlotInput& slot_input,
+                     const OptimizedPolicy::Options& opt)
+    : topo(topology),
+      input(slot_input),
+      K(topology.num_classes()),
+      S(topology.num_frontends()),
+      L(topology.num_datacenters()) {
+  for (const auto& cls : topo.classes) Q = std::max(Q, cls.tuf.levels());
+  deadline.assign(K * L * Q, units::Seconds{0.0});
+  share.assign(K * L * Q, 0.0);
+  head.assign(K * L * Q * S, 0.0);
+  const units::Seconds T = input.slot_duration();
+  for (std::size_t k = 0; k < K; ++k) {
+    const auto& cls = topo.classes[k];
+    for (std::size_t l = 0; l < L; ++l) {
+      const auto& dc = topo.datacenters[l];
+      const units::Seconds prop = worst_propagation(topo, input, k, l);
+      // kWh/req * $/kWh -> $/req; PUE is a dimensionless multiplier.
+      const units::DollarsPerReq energy =
+          dc.energy_per_request(k) * input.price_at(l) * dc.pue;
+      for (int level = 0; level < static_cast<int>(cls.tuf.levels());
+           ++level) {
+        const std::size_t b = band(k, l, level);
+        deadline[b] = effective_deadline(topo, k, level, prop, opt);
+        if (deadline[b] > units::Seconds{0.0}) {
+          // 1req / (D * C * mu) is the per-server share the band costs —
+          // dimensionless, so the typed quotient collapses to a double.
+          share[b] = units::kOneRequest /
+                     (deadline[b] * dc.server_capacity *
+                      dc.service_rate_of(k));
+        }
+        const units::DollarsPerReq utility =
+            cls.tuf.utility_at(static_cast<std::size_t>(level));
+        for (std::size_t s = 0; s < S; ++s) {
+          // $/req-mile * miles -> $/req.
+          const units::DollarsPerReq wire =
+              cls.transfer_cost() * topo.distance(s, l);
+          // Serving a request both earns its band utility (the queue
+          // deadline was already tightened by the worst routed
+          // propagation, so every origin's total stays in-band) and
+          // avoids its drop penalty; the constant -penalty*offered*T is
+          // common to every profile (objectives are "relative to
+          // dropping everything"). $/req * s -> $.s/req, the LP's
+          // dollars-per-unit-rate coefficient; .value() is the solver
+          // seam.
+          head[b * S + s] =
+              ((utility + cls.drop_penalty() - energy - wire) * T).value();
+        }
+      }
+    }
+  }
+  // Static-power extension: under the continuous server relaxation,
+  // powered-on servers scale as sum_k X_k/(C mu_k) / (1 - overhead), so
+  // the idle bill is linear in the routed rates and folds exactly into
+  // the objective coefficients (ProfilePrep::idle). Zero idle power (the
+  // paper's model) leaves the coefficients untouched. Assembled raw
+  // (audited seam): the kW x hours rescaling must stay `kW * (T/3600)`
+  // for the coefficients to be bit-identical to the pre-units ledger.
+  idle.assign(L, 0.0);
+  for (std::size_t l = 0; l < L; ++l) {
+    const auto& dc = topo.datacenters[l];
+    idle[l] = dc.idle_power_kw * input.price[l] * dc.pue *
+              (T.value() / 3600.0);
+  }
+}
+
 /// The band-deduced quantities an LP solve and the value bound share.
 struct ProfilePrep {
   bool feasible = false;
@@ -134,36 +232,38 @@ struct ProfilePrep {
   /// sum_k 1 / (D_eff * C * mu). A DC whose overhead reaches 1 cannot
   /// run the profile on any server.
   std::vector<double> overhead;  // [L]
-  /// Worst propagation per (k,l), [K*L].
-  std::vector<units::Seconds> prop;
+  /// Idle dollars per unit of class-k rate at DC l, [l * K + k]: the
+  /// table's numerator over the profile's ((1 - overhead) * C) * mu.
+  /// Filled only for feasible profiles.
+  std::vector<double> idle;
 };
 
-ProfilePrep prepare_profile(const Topology& topo, const SlotInput& input,
-                            const Profile& profile,
-                            const OptimizedPolicy::Options& opt) {
-  const std::size_t K = topo.num_classes();
-  const std::size_t L = topo.num_datacenters();
+ProfilePrep prepare_profile(const SlotTable& slot, const Profile& profile) {
+  const std::size_t K = slot.K;
+  const std::size_t L = slot.L;
   ProfilePrep prep;
   prep.overhead.assign(L, 0.0);
-  prep.prop.assign(K * L, units::Seconds{0.0});
   for (std::size_t l = 0; l < L; ++l) {
-    const auto& dc = topo.datacenters[l];
     for (std::size_t k = 0; k < K; ++k) {
       const int level = profile[l * K + k];
       if (level < 0) continue;
-      prep.prop[l * K + k] = worst_propagation(topo, input, k, l);
-      const units::Seconds deadline =
-          effective_deadline(topo, k, level, prep.prop[l * K + k], opt);
-      if (deadline <= units::Seconds{0.0}) {
+      const std::size_t b = slot.band(k, l, level);
+      if (slot.deadline[b] <= units::Seconds{0.0}) {
         return prep;  // band unreachable over the wire
       }
-      // 1req / (D * C * mu) is the per-server share the band costs —
-      // dimensionless, so the typed quotient collapses to a double.
-      prep.overhead[l] += units::kOneRequest /
-                          (deadline * dc.server_capacity *
-                           dc.service_rate_of(k));
+      prep.overhead[l] += slot.share[b];
     }
     if (prep.overhead[l] >= 1.0) return prep;  // physically impossible
+  }
+  prep.idle.assign(K * L, 0.0);
+  for (std::size_t l = 0; l < L; ++l) {
+    const auto& dc = slot.topo.datacenters[l];
+    for (std::size_t k = 0; k < K; ++k) {
+      if (profile[l * K + k] < 0) continue;
+      prep.idle[l * K + k] =
+          slot.idle[l] / ((1.0 - prep.overhead[l]) * dc.server_capacity *
+                          dc.service_rate[k]);
+    }
   }
   prep.feasible = true;
   return prep;
@@ -171,42 +271,13 @@ ProfilePrep prepare_profile(const Topology& topo, const SlotInput& input,
 
 /// Net dollars one unit of class-k rate from front-end s earns over the
 /// slot when served by DC l in the profile's band `level`. This is the
-/// LP objective coefficient; profile_value_bound must use the exact same
-/// formula for the incumbent prune to be lossless.
-double value_coefficient(const Topology& topo, const SlotInput& input,
+/// LP objective coefficient; profile_value_bound reads the exact same
+/// value, which the value-bound prunes need to be lossless.
+double value_coefficient(const SlotTable& slot, const ProfilePrep& prep,
                          std::size_t k, std::size_t s, std::size_t l,
-                         int level, double overhead_l) {
-  const auto& cls = topo.classes[k];
-  const auto& dc = topo.datacenters[l];
-  const units::Seconds T = input.slot_duration();
-  const units::DollarsPerReq utility =
-      cls.tuf.utility_at(static_cast<std::size_t>(level));
-  // kWh/req * $/kWh -> $/req; PUE is a dimensionless multiplier.
-  const units::DollarsPerReq energy =
-      dc.energy_per_request(k) * input.price_at(l) * dc.pue;
-  // Static-power extension: under the continuous server relaxation,
-  // powered-on servers scale as sum_k X_k/(C mu_k) / (1 - overhead),
-  // so the idle bill is linear in the routed rates and folds exactly
-  // into the objective coefficients. Zero idle power (the paper's
-  // model) leaves the coefficients untouched. Assembled raw (audited
-  // seam): the kW x hours rescaling must stay `kW * (T/3600)` for the
-  // coefficients to be bit-identical to the pre-units ledger.
-  const units::DollarsPerRate idle_per_unit_rate{
-      dc.idle_power_kw * input.price[l] * dc.pue * (T.value() / 3600.0) /
-      ((1.0 - overhead_l) * dc.server_capacity * dc.service_rate[k])};
-  // $/req-mile * miles -> $/req.
-  const units::DollarsPerReq wire =
-      cls.transfer_cost() * topo.distance(s, l);
-  // Serving a request both earns its band utility (the queue deadline
-  // was already tightened by the worst routed propagation, so every
-  // origin's total stays in-band) and avoids its drop penalty; the
-  // constant -penalty*offered*T is common to every profile (objectives
-  // are "relative to dropping everything"). $/req * s -> $.s/req, the
-  // LP's dollars-per-unit-rate coefficient; .value() is the solver seam.
-  const units::DollarsPerRate coeff =
-      (utility + cls.drop_penalty() - energy - wire) * T -
-      idle_per_unit_rate;
-  return coeff.value();
+                         int level) {
+  return slot.head[slot.band(k, l, level) * slot.S + s] -
+         prep.idle[l * slot.K + k];
 }
 
 /// Cheap upper bound on a profile's LP objective: flow conservation caps
@@ -215,23 +286,20 @@ double value_coefficient(const Topology& topo, const SlotInput& input,
 /// coefficient is negative — bounds the objective from above. Any
 /// profile whose bound is strictly below a known-achievable objective
 /// can neither win nor tie and is safe to skip un-solved.
-double profile_value_bound(const Topology& topo, const SlotInput& input,
-                           const Profile& profile, const ProfilePrep& prep) {
-  const std::size_t K = topo.num_classes();
-  const std::size_t S = topo.num_frontends();
-  const std::size_t L = topo.num_datacenters();
+double profile_value_bound(const SlotTable& slot, const Profile& profile,
+                           const ProfilePrep& prep) {
+  const std::size_t K = slot.K;
   double bound = 0.0;
   for (std::size_t k = 0; k < K; ++k) {
-    for (std::size_t s = 0; s < S; ++s) {
-      const double arrival = input.arrival_rate[k][s];
+    for (std::size_t s = 0; s < slot.S; ++s) {
+      const double arrival = slot.input.arrival_rate[k][s];
       if (arrival <= 0.0) continue;
       double best_coeff = 0.0;  // routing nothing is always allowed
-      for (std::size_t l = 0; l < L; ++l) {
+      for (std::size_t l = 0; l < slot.L; ++l) {
         const int level = profile[l * K + k];
         if (level < 0) continue;
         best_coeff = std::max(
-            best_coeff, value_coefficient(topo, input, k, s, l, level,
-                                          prep.overhead[l]));
+            best_coeff, value_coefficient(slot, prep, k, s, l, level));
       }
       bound += arrival * best_coeff;
     }
@@ -243,19 +311,20 @@ double profile_value_bound(const Topology& topo, const SlotInput& input,
 /// (integer server counts, minimal shares, optional spare distribution).
 /// `warm` (optional) seeds the simplex from another profile's basis;
 /// `want_basis` asks for the final basis back in global coordinates.
-ProfileOutcome solve_profile(const Topology& topo, const SlotInput& input,
-                             const Profile& profile, const ProfilePrep& prep,
+ProfileOutcome solve_profile(const SlotTable& slot, const Profile& profile,
+                             const ProfilePrep& prep,
                              const OptimizedPolicy::Options& opt,
                              const GlobalBasis* warm = nullptr,
                              bool want_basis = false) {
-  const std::size_t K = topo.num_classes();
-  const std::size_t S = topo.num_frontends();
-  const std::size_t L = topo.num_datacenters();
+  const Topology& topo = slot.topo;
+  const SlotInput& input = slot.input;
+  const std::size_t K = slot.K;
+  const std::size_t S = slot.S;
+  const std::size_t L = slot.L;
 
   ProfileOutcome out;
   if (!prep.feasible) return out;
   const std::vector<double>& overhead = prep.overhead;
-  const std::vector<units::Seconds>& prop = prep.prop;
 
   LinearProgram lp;
   lp.set_objective_sense(Sense::kMaximize);
@@ -269,12 +338,9 @@ ProfileOutcome solve_profile(const Topology& topo, const SlotInput& input,
       const int level = profile[l * K + k];
       if (level < 0) continue;
       for (std::size_t s = 0; s < S; ++s) {
-        const double value =
-            value_coefficient(topo, input, k, s, l, level, overhead[l]);
-        var[(k * S + s) * L + l] = lp.add_variable(
-            0.0, input.arrival_rate[k][s], value,
-            "x_k" + std::to_string(k) + "_s" + std::to_string(s) + "_l" +
-                std::to_string(l));
+        var[(k * S + s) * L + l] =
+            lp.add_variable(0.0, input.arrival_rate[k][s],
+                            value_coefficient(slot, prep, k, s, l, level));
         var_token.push_back((k * S + s) * L + l);
       }
     }
@@ -288,7 +354,9 @@ ProfileOutcome solve_profile(const Topology& topo, const SlotInput& input,
   }
 
   // Flow conservation (Eq. 7): per (class, front-end). flow_row maps the
-  // (k, s) token to the LP row (or -1), row_token is the inverse.
+  // (k, s) token to the LP row (or -1), row_token is the inverse. Here and
+  // in the capacity rows the terms arrive in ascending variable order,
+  // which LinearProgram keeps without a sort.
   std::vector<int> flow_row(K * S, -1);
   std::vector<std::size_t> row_token;
   for (std::size_t k = 0; k < K; ++k) {
@@ -429,12 +497,7 @@ ProfileOutcome solve_profile(const Topology& topo, const SlotInput& input,
     for (std::size_t k = 0; k < K; ++k) {
       const double x = plan.class_dc_rate(k, l);
       if (x <= 1e-12) continue;
-      const int level = profile[l * K + k];
-      const units::Seconds deadline =
-          effective_deadline(topo, k, level, prop[l * K + k], opt);
-      active_overhead += units::kOneRequest /
-                         (deadline * dc.server_capacity *
-                          dc.service_rate_of(k));
+      active_overhead += slot.share[slot.band(k, l, profile[l * K + k])];
       load_sum += x / (dc.server_capacity * dc.service_rate[k]);
     }
     if (load_sum <= 0.0) {
@@ -451,9 +514,8 @@ ProfileOutcome solve_profile(const Topology& topo, const SlotInput& input,
     for (std::size_t k = 0; k < K; ++k) {
       const double x = plan.class_dc_rate(k, l);
       if (x <= 1e-12) continue;
-      const int level = profile[l * K + k];
       const units::Seconds deadline =
-          effective_deadline(topo, k, level, prop[l * K + k], opt);
+          slot.deadline[slot.band(k, l, profile[l * K + k])];
       const double per_server = x / static_cast<double>(servers);
       // Raw-core seam: required_share may legitimately exceed 1 by an
       // ulp at a binding capacity row (renormalized just below), which
@@ -588,6 +650,7 @@ DispatchPlan OptimizedPolicy::plan_slot(const Topology& topo,
   sparse_price_skips_ = 0;
   master_iterations_ = 0;
   subproblem_solves_ = 0;
+  const SlotTable slot(topo, input, options_);
 
   ProfileOutcome initial;
   initial.feasible = true;
@@ -620,9 +683,8 @@ DispatchPlan OptimizedPolicy::plan_slot(const Topology& topo,
     }
     examined.fetch_add(1, std::memory_order_relaxed);
     if (!prep.feasible) return -kInfinity;
-    ProfileOutcome outcome =
-        solve_profile(topo, input, profile, prep, options_, warm_basis,
-                      capture != nullptr);
+    ProfileOutcome outcome = solve_profile(slot, profile, prep, options_,
+                                           warm_basis, capture != nullptr);
     outcome.index = index;
     pivots.fetch_add(static_cast<std::uint64_t>(outcome.lp_iterations),
                      std::memory_order_relaxed);
@@ -648,8 +710,7 @@ DispatchPlan OptimizedPolicy::plan_slot(const Topology& topo,
   };
   auto consider = [&](const Profile& profile, std::uint64_t index,
                       const GlobalBasis* warm_basis, GlobalBasis* capture) {
-    return evaluate(profile, index,
-                    prepare_profile(topo, input, profile, options_),
+    return evaluate(profile, index, prepare_profile(slot, profile),
                     warm_basis, capture);
   };
 
@@ -714,11 +775,9 @@ DispatchPlan OptimizedPolicy::plan_slot(const Topology& topo,
         return;  // already evaluated up front
       }
       const Profile profile = decode_profile(index, topo);
-      const ProfilePrep prep =
-          prepare_profile(topo, input, profile, options_);
+      const ProfilePrep prep = prepare_profile(slot, profile);
       if (prune_threshold > 0.0 && prep.feasible &&
-          profile_value_bound(topo, input, profile, prep) <
-              prune_threshold) {
+          profile_value_bound(slot, profile, prep) < prune_threshold) {
         pruned.fetch_add(1, std::memory_order_relaxed);
         return;
       }
@@ -779,9 +838,19 @@ DispatchPlan OptimizedPolicy::plan_slot(const Topology& topo,
             if (option == current[cell]) continue;
             Profile neighbor = current;
             neighbor[cell] = option;
+            // A neighbor whose value bound is strictly below the current
+            // value can neither be accepted (that needs a value above
+            // current_value + 1e-9) nor win or tie the incumbent, which
+            // already holds the current profile's outcome: skip its LP.
+            const ProfilePrep prep = prepare_profile(slot, neighbor);
+            if (prep.feasible &&
+                profile_value_bound(slot, neighbor, prep) < current_value) {
+              pruned.fetch_add(1, std::memory_order_relaxed);
+              continue;
+            }
             GlobalBasis neighbor_basis;
-            const double value = consider(
-                neighbor, encode_profile(neighbor, topo),
+            const double value = evaluate(
+                neighbor, encode_profile(neighbor, topo), prep,
                 options_.warm_start_bases && !chain.empty() ? &chain
                                                             : nullptr,
                 &neighbor_basis);

@@ -19,7 +19,17 @@ namespace palb {
 /// so the per-server share budget becomes a linear capacity row. The
 /// policy searches profile space (exhaustively below a threshold,
 /// first-improvement local search above it), solving one LP per profile;
-/// the sweep fans across a thread pool.
+/// the exhaustive sweep fans across a thread pool.
+///
+/// Each plan_slot first compiles a table of everything a profile
+/// evaluation reads that does not depend on the profile: the value
+/// coefficient of every (class, front-end, DC, band) up to its idle
+/// term, each band's effective deadline and share overhead, and each
+/// DC's idle-power numerator. A profile then costs its band sums, its
+/// LP assembly and its pivots. Before any LP is solved, the profile's optimistic value
+/// bound is checked: a profile whose bound falls strictly below an
+/// objective already in hand (the sweep's incumbent, or local search's
+/// current profile) cannot change the plan and is skipped unsolved.
 ///
 /// For one-level TUFs the profile space is {off, on}^(K*L) and each LP is
 /// exactly the paper's linearized formulation (§IV-1).
@@ -141,15 +151,18 @@ class OptimizedPolicy : public Policy {
     options_.cancel = cancel;
   }
   /// Cumulative counters since construction, including warm-start cache
-  /// hits/misses and incumbent-bound prunes.
+  /// hits/misses and value-bound prunes.
   PolicyStats stats() const override { return totals_; }
 
   /// Profiles examined (LP-solved or found structurally infeasible) by
   /// the most recent plan_slot (observability for the computation-time
   /// study, Fig. 11). Excludes profiles_pruned().
   std::uint64_t profiles_examined() const { return profiles_examined_; }
-  /// Profiles the most recent plan_slot discarded by the warm-start
-  /// incumbent bound without an LP solve.
+  /// Profiles the most recent plan_slot skipped without an LP solve
+  /// because their value bound fell strictly below a known objective:
+  /// the enumerated sweep's incumbent (anchor or warm-start re-solve),
+  /// or the current profile's value in local search. Disjoint from
+  /// profiles_examined().
   std::uint64_t profiles_pruned() const { return profiles_pruned_; }
   /// LP simplex iterations accumulated by the most recent plan_slot.
   std::uint64_t lp_iterations() const { return lp_iterations_; }

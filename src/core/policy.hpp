@@ -26,10 +26,13 @@ struct PolicyStats {
   std::uint64_t warm_start_hits = 0;
   /// Slots solved cold (no cache, or the inputs moved too much).
   std::uint64_t warm_start_misses = 0;
-  /// TUF band profiles visited by enumeration / local search.
+  /// TUF band profiles LP-solved or found structurally infeasible by
+  /// enumeration / local search.
   std::uint64_t profiles_examined = 0;
-  /// Profiles discarded by the warm-start incumbent bound without an LP
-  /// solve (a subset of profiles_examined).
+  /// Profiles skipped without an LP solve because their value bound fell
+  /// strictly below a known objective (the enumerated sweep's incumbent,
+  /// or local search's current profile). Disjoint from
+  /// profiles_examined: the two sum to the profiles visited.
   std::uint64_t profiles_pruned = 0;
   /// LP simplex pivots across all profile solves.
   std::uint64_t lp_iterations = 0;

@@ -33,12 +33,9 @@ TrajectoryResult optimal_server_trajectory(
   for (std::size_t t = 0; t < T; ++t) {
     m[t] = lp.add_variable(static_cast<double>(needed[t]),
                            static_cast<double>(max_servers),
-                           idle_cost_per_slot[t],
-                           "m" + std::to_string(t));
-    up[t] = lp.add_variable(0.0, kInfinity, switch_cost,
-                            "u" + std::to_string(t));
-    down[t] = lp.add_variable(0.0, kInfinity, switch_cost,
-                              "d" + std::to_string(t));
+                           idle_cost_per_slot[t]);
+    up[t] = lp.add_variable(0.0, kInfinity, switch_cost);
+    down[t] = lp.add_variable(0.0, kInfinity, switch_cost);
   }
   for (std::size_t t = 0; t < T; ++t) {
     std::vector<std::pair<int, double>> terms{{m[t], 1.0},

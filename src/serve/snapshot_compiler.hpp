@@ -83,14 +83,14 @@ class SnapshotCompiler {
   }
 
   /// refresh() that returns false at once while a peer is compiling.
+  /// A compile that throws propagates and releases the compile lock.
   bool try_refresh() const PALB_EXCLUDES(compile_mutex_, table_mutex_) {
     if (!compile_mutex_.try_lock()) {
       refresh_skips_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
-    const bool swapped = refresh_locked();
-    compile_mutex_.unlock();
-    return swapped;
+    const AdoptedLock lock(compile_mutex_);
+    return refresh_locked();
   }
 
   /// Applies `fn(Source&)`, bumps the epoch and recompiles at once, even

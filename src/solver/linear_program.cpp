@@ -7,42 +7,44 @@
 
 namespace palb {
 
-int LinearProgram::add_variable(double lb, double ub, double cost,
-                                std::string name) {
+int LinearProgram::add_variable(double lb, double ub, double cost) {
   PALB_REQUIRE(lb <= ub, "variable bounds must satisfy lb <= ub");
   invalidate_columns();
   costs_.push_back(cost);
   lbs_.push_back(lb);
   ubs_.push_back(ub);
-  if (name.empty()) name = "x" + std::to_string(costs_.size() - 1);
-  var_names_.push_back(std::move(name));
   return static_cast<int>(costs_.size()) - 1;
 }
 
-int LinearProgram::add_constraint(Relation rel, double rhs,
-                                  std::string name) {
+int LinearProgram::add_constraint(Relation rel, double rhs) {
   invalidate_columns();
   rows_.emplace_back();
   relations_.push_back(rel);
   rhss_.push_back(rhs);
-  if (name.empty()) name = "r" + std::to_string(rows_.size() - 1);
-  row_names_.push_back(std::move(name));
   return static_cast<int>(rows_.size()) - 1;
 }
 
 int LinearProgram::add_constraint(
     const std::vector<std::pair<int, double>>& terms, Relation rel,
-    double rhs, std::string name) {
-  const int row = add_constraint(rel, rhs, std::move(name));
-  // Bulk path: sort once and merge duplicates in one sweep instead of
-  // scanning the growing row per term (which made dense-row construction
-  // quadratic). stable_sort keeps equal variables in encounter order, so
-  // duplicate coefficients still sum in the order the caller wrote them.
+    double rhs) {
+  const int row = add_constraint(rel, rhs);
+  // Bulk path: terms that arrive strictly ascending are stored as given.
+  // Anything else is sorted once and its duplicates merged in one sweep,
+  // instead of scanning the growing row per term (which made dense-row
+  // construction quadratic). stable_sort keeps equal variables in
+  // encounter order, so duplicate coefficients still sum in the order
+  // the caller wrote them.
   auto& dst = rows_[row];
   dst = terms;
   for (const auto& [var, coef] : dst) {
     (void)coef;
     check_var(var);
+  }
+  if (std::adjacent_find(dst.begin(), dst.end(),
+                         [](const auto& a, const auto& b) {
+                           return a.first >= b.first;
+                         }) == dst.end()) {
+    return row;
   }
   std::stable_sort(dst.begin(), dst.end(),
                    [](const auto& a, const auto& b) {
@@ -170,16 +172,6 @@ const ColumnView& LinearProgram::column_view() const {
     columns_ = std::move(view);
   }
   return *columns_;
-}
-
-const std::string& LinearProgram::variable_name(int var) const {
-  check_var(var);
-  return var_names_[var];
-}
-
-const std::string& LinearProgram::constraint_name(int row) const {
-  check_row(row);
-  return row_names_[row];
 }
 
 double LinearProgram::row_activity(int row,

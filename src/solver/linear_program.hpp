@@ -2,7 +2,6 @@
 
 #include <limits>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -43,19 +42,19 @@ struct ColumnView {
 class LinearProgram {
  public:
   /// Adds a variable; returns its index.
-  int add_variable(double lb = 0.0, double ub = kInfinity, double cost = 0.0,
-                   std::string name = {});
+  int add_variable(double lb = 0.0, double ub = kInfinity, double cost = 0.0);
 
   /// Adds an empty constraint row; returns its index. Coefficients are
   /// attached afterwards via set_coefficient / add_term.
-  int add_constraint(Relation rel, double rhs, std::string name = {});
+  int add_constraint(Relation rel, double rhs);
 
   /// Adds a fully-formed constraint from (variable, coefficient) terms.
   /// Duplicate variables are merged (coefficients sum in encounter
   /// order). This is the preferred way to build dense rows: one sort
-  /// instead of a per-term row scan.
+  /// instead of a per-term row scan, and none at all when the terms
+  /// already arrive strictly ascending by variable.
   int add_constraint(const std::vector<std::pair<int, double>>& terms,
-                     Relation rel, double rhs, std::string name = {});
+                     Relation rel, double rhs);
 
   /// Sets (overwrites) one coefficient in a row.
   void set_coefficient(int row, int var, double value);
@@ -91,8 +90,6 @@ class LinearProgram {
   /// threads (every solver-internal consumer runs single-threaded per
   /// LP, so this only matters for exotic callers).
   const ColumnView& column_view() const;
-  const std::string& variable_name(int var) const;
-  const std::string& constraint_name(int row) const;
 
   /// Evaluates a_r' x for a candidate point.
   double row_activity(int row, const std::vector<double>& x) const;
@@ -114,11 +111,9 @@ class LinearProgram {
   std::vector<double> costs_;
   std::vector<double> lbs_;
   std::vector<double> ubs_;
-  std::vector<std::string> var_names_;
   std::vector<std::vector<std::pair<int, double>>> rows_;
   std::vector<Relation> relations_;
   std::vector<double> rhss_;
-  std::vector<std::string> row_names_;
   /// Lazily built CSC cache (shared_ptr so copies stay copyable and
   /// share the already-built view; the pointee is immutable).
   mutable std::shared_ptr<const ColumnView> columns_;

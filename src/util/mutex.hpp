@@ -54,6 +54,22 @@ class PALB_SCOPED_CAPABILITY MutexLock {
   Mutex& mu_;
 };
 
+/// RAII release of a Mutex the caller already holds — typically after a
+/// successful try_lock() — so it is unlocked on every exit from the
+/// scope, exceptions included. The analysis requires the capability on
+/// construction and treats it as released when this object dies.
+class PALB_SCOPED_CAPABILITY AdoptedLock {
+ public:
+  explicit AdoptedLock(Mutex& mu) PALB_REQUIRES(mu) : mu_(mu) {}
+  ~AdoptedLock() PALB_RELEASE() { mu_.unlock(); }
+
+  AdoptedLock(const AdoptedLock&) = delete;
+  AdoptedLock& operator=(const AdoptedLock&) = delete;
+
+ private:
+  Mutex& mu_;
+};
+
 /// Condition variable paired with Mutex. wait() REQUIRES the mutex —
 /// calling it unlocked is a compile error under the thread-safety
 /// preset — and returns with it held again, so the canonical loop

@@ -70,12 +70,20 @@ int balanced_raw_usage(palb::Mutex& mu) {
   return 0;
 }
 
+// A successful try_lock() adopted by an AdoptedLock is released when
+// the scope ends, on every path.
+int adopted_try_lock(palb::Mutex& mu) {
+  if (!mu.try_lock()) return 0;
+  const palb::AdoptedLock hold(mu);
+  return 1;
+}
+
 }  // namespace
 
 int touch_all(palb::PlanHandle& handle, palb::DispatchPlan a,
               palb::DispatchPlan b, palb::Mutex& mu) {
   const palb::PlanHandle::Snapshot snap =
       use_plan_handle(handle, std::move(a), std::move(b));
-  return use_queue() + balanced_raw_usage(mu) +
+  return use_queue() + balanced_raw_usage(mu) + adopted_try_lock(mu) +
          static_cast<int>(snap.version);
 }

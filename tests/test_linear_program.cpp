@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -11,14 +13,12 @@ namespace {
 
 TEST(LinearProgram, VariableAccounting) {
   LinearProgram lp;
-  const int x = lp.add_variable(0.0, 5.0, 2.0, "x");
+  const int x = lp.add_variable(0.0, 5.0, 2.0);
   const int y = lp.add_variable(-1.0, kInfinity, -3.0);
   EXPECT_EQ(lp.num_variables(), 2);
   EXPECT_DOUBLE_EQ(lp.cost(x), 2.0);
   EXPECT_DOUBLE_EQ(lp.lower_bound(y), -1.0);
   EXPECT_TRUE(std::isinf(lp.upper_bound(y)));
-  EXPECT_EQ(lp.variable_name(x), "x");
-  EXPECT_EQ(lp.variable_name(y), "x1");  // auto-named
 }
 
 TEST(LinearProgram, RejectsInvertedBounds) {
@@ -38,6 +38,24 @@ TEST(LinearProgram, ConstraintTermsAccumulate) {
   EXPECT_DOUBLE_EQ(lp.row_terms(r)[0].second, 5.0);
   lp.set_coefficient(r, x, 7.0);
   EXPECT_DOUBLE_EQ(lp.row_terms(r)[0].second, 7.0);
+}
+
+TEST(LinearProgram, BulkRowsKeepAscendingTermsAndMergeTheRest) {
+  using Terms = std::vector<std::pair<int, double>>;
+  LinearProgram lp;
+  for (int j = 0; j < 3; ++j) lp.add_variable();
+  const int ascending =
+      lp.add_constraint({{0, 1.0}, {1, 2.0}, {2, 3.0}}, Relation::kLe, 1.0);
+  EXPECT_EQ(lp.row_terms(ascending), (Terms{{0, 1.0}, {1, 2.0}, {2, 3.0}}));
+  // Out of order or repeated: sorted by variable, duplicates summed.
+  const int shuffled = lp.add_constraint(
+      {{2, 3.0}, {0, 1.0}, {2, 0.5}, {1, 2.0}}, Relation::kLe, 1.0);
+  EXPECT_EQ(lp.row_terms(shuffled), (Terms{{0, 1.0}, {1, 2.0}, {2, 3.5}}));
+  const int repeated =
+      lp.add_constraint({{0, 1.0}, {0, 2.0}, {1, 1.0}}, Relation::kLe, 1.0);
+  EXPECT_EQ(lp.row_terms(repeated), (Terms{{0, 3.0}, {1, 1.0}}));
+  EXPECT_THROW(lp.add_constraint({{0, 1.0}, {3, 1.0}}, Relation::kLe, 1.0),
+               InvalidArgument);
 }
 
 TEST(LinearProgram, RowActivityAndObjective) {

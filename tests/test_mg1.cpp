@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "queueing/mm1_simulator.hpp"
 #include "util/error.hpp"
@@ -83,10 +84,18 @@ TEST(Mmm, Validation) {
 
 // ---- Empirical validation of the distribution-shape story -------------
 
+// gtest_discover_tests names each case after its printed parameter, which
+// for a struct without a printer is its raw bytes. Implicit padding would put
+// leftover heap bytes into those names, so every build would register
+// different test names; the explicit zeroed pad keeps all 16 bytes defined.
 struct ShapeCase {
   ServiceDistribution::Kind kind;
+  std::uint32_t pad = 0;
   double scv;
 };
+static_assert(sizeof(ShapeCase) == sizeof(ServiceDistribution::Kind) +
+                                       sizeof(std::uint32_t) + sizeof(double),
+              "ShapeCase must have no implicit padding");
 
 class Mg1SimulationTest : public ::testing::TestWithParam<ShapeCase> {};
 
@@ -129,10 +138,10 @@ TEST_P(Mg1SimulationTest, PsIsInsensitiveToShape) {
 INSTANTIATE_TEST_SUITE_P(
     Shapes, Mg1SimulationTest,
     ::testing::Values(
-        ShapeCase{ServiceDistribution::Kind::kExponential, 1.0},
-        ShapeCase{ServiceDistribution::Kind::kDeterministic, 0.0},
-        ShapeCase{ServiceDistribution::Kind::kLognormal, 0.5},
-        ShapeCase{ServiceDistribution::Kind::kLognormal, 2.0}));
+        ShapeCase{.kind = ServiceDistribution::Kind::kExponential, .scv = 1.0},
+        ShapeCase{.kind = ServiceDistribution::Kind::kDeterministic, .scv = 0.0},
+        ShapeCase{.kind = ServiceDistribution::Kind::kLognormal, .scv = 0.5},
+        ShapeCase{.kind = ServiceDistribution::Kind::kLognormal, .scv = 2.0}));
 
 TEST(ServiceDistribution, SampleMoments) {
   Rng rng(9);

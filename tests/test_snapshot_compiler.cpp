@@ -3,8 +3,9 @@
 // routing or admission arithmetic: nothing before the first publish,
 // rebuilds on a plan-version lag (shed-all included), update() epochs
 // recompiling at an unchanged version — also when they land before the
-// first publish — and a deterministic try_refresh() skip while a peer
-// holds the compile lock.
+// first publish — a deterministic try_refresh() skip while a peer
+// holds the compile lock, and a throwing compile that leaves the compile
+// lock free.
 
 #include "serve/snapshot_compiler.hpp"
 
@@ -18,6 +19,7 @@
 #include "cloud/plan.hpp"
 #include "core/plan_handle.hpp"
 #include "scenario_fixtures.hpp"
+#include "util/error.hpp"
 
 namespace palb {
 namespace {
@@ -47,8 +49,11 @@ struct TinyTable {
   std::uint64_t plan_version() const { return version; }
 };
 
+/// Rejects a plan with no class rows, as a real table rejects a plan
+/// whose shape does not match its topology.
 TinyTable compile_tiny(const TinySource& source, const DispatchPlan& plan,
                        std::uint64_t plan_version) {
+  PALB_REQUIRE(!plan.rate.empty(), "plan has no class rows");
   if (source.latches != nullptr) {
     source.latches->entered.count_down();
     source.latches->release.wait();
@@ -165,6 +170,27 @@ TEST(SnapshotCompiler, TryRefreshSkipsWhileAPeerCompiles) {
   EXPECT_EQ(compiler.table_version(), 1u);
   EXPECT_EQ(compiler.stats().rebuilds, 1u);
   EXPECT_EQ(compiler.stats().refresh_skips, 2u);
+}
+
+TEST(SnapshotCompiler, ThrowingCompileReleasesTheCompileLock) {
+  const Topology topo = small_topology();
+  PlanHandle live;
+  const TinyCompiler compiler(live, TinySource{}, &compile_tiny);
+  live.publish(DispatchPlan{});
+  EXPECT_THROW(compiler.try_refresh(), InvalidArgument);
+  EXPECT_EQ(compiler.table(), nullptr);
+
+  // A leaked lock would make the second thread's try_refresh() skip (and
+  // a refresh() hang); from another thread, the call also cannot re-lock
+  // a mutex its own thread still owns.
+  live.publish(busy_plan(topo));
+  bool swapped = false;
+  std::thread peer([&] { swapped = compiler.try_refresh(); });
+  peer.join();
+  EXPECT_TRUE(swapped);
+  EXPECT_EQ(compiler.stats().refresh_skips, 0u);
+  EXPECT_EQ(compiler.table_version(), 2u);
+  EXPECT_EQ(compiler.stats().rebuilds, 1u);
 }
 
 }  // namespace

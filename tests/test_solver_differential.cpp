@@ -70,7 +70,7 @@ LinearProgram knapsack_lp(const Knapsack& ks) {
     const int var = lp.add_variable(0.0, 1.0, ks.value[i]);
     row.emplace_back(var, ks.weight[i]);
   }
-  lp.add_constraint(row, Relation::kLe, ks.budget, "budget");
+  lp.add_constraint(row, Relation::kLe, ks.budget);
   return lp;
 }
 
