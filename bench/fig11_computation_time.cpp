@@ -8,8 +8,7 @@
 // the enumeration's own exponential frontier (profiles = (levels+1)^(K*L)).
 // A third sweep goes beyond the paper: 10-50 data centers x up to 100
 // front-ends, timing one anchor dispatch LP per shape through the dense
-// monolithic simplex, the sparse monolithic kernel, and the decomposed
-// (Dantzig-Wolfe) driver.
+// and the sparse pivot kernel of the simplex.
 
 #include <chrono>
 #include <cstdio>
@@ -19,7 +18,7 @@
 #include "core/optimized_policy.hpp"
 #include "core/paper_scenarios.hpp"
 #include "market/price_library.hpp"
-#include "solver/decomposed.hpp"
+#include "solver/simplex.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "workload/generators.hpp"
@@ -102,21 +101,17 @@ int main() {
       "sets; both combinatorial frontiers above reproduce that trend.\n");
 
   // Sweep 3 (beyond paper): one anchor dispatch LP per fleet shape,
-  // solved three ways. This is the per-profile LP the optimizer solves
-  // by the hundreds, at fleet sizes the paper never reaches; the
-  // decomposed driver is what keeps the large shapes tractable.
+  // solved by both pivot kernels. This is the per-profile LP the
+  // optimizer solves by the hundreds, at fleet sizes the paper never
+  // reaches.
   std::printf("\nbeyond paper — anchor LP solve time by fleet shape "
               "(3 classes)\n\n");
-  TextTable t3({"FE x DC", "vars", "dense ms", "sparse ms",
-                "decomposed ms", "blocks"});
+  TextTable t3({"FE x DC", "vars", "dense ms", "sparse ms"});
   Rng rng3(3131);
   SimplexSolver::Options dense_opt;
   dense_opt.sparse_pivoting = false;
   const SimplexSolver dense(dense_opt);
   const SimplexSolver sparse;  // sparse_pivoting defaults on
-  DecomposedSolver::Options dec_opt;
-  dec_opt.subproblem_workers = 0;  // hardware concurrency
-  const DecomposedSolver dec(dec_opt);
   for (const auto& [fes, dcs] :
        std::vector<std::pair<std::size_t, std::size_t>>{
            {20, 10}, {100, 10}, {20, 20}, {100, 20}, {20, 30},
@@ -138,25 +133,15 @@ int main() {
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - t0)
             .count();
-    t0 = std::chrono::steady_clock::now();
-    (void)dec.solve(lp);
-    const double dec_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
     t3.add_row({std::to_string(fes) + " x " + std::to_string(dcs),
                 std::to_string(lp.num_variables()),
-                format_double(dense_ms, 1), format_double(sparse_ms, 1),
-                format_double(dec_ms, 1),
-                std::to_string(dec.stats().blocks)});
+                format_double(dense_ms, 1), format_double(sparse_ms, 1)});
   }
   std::printf("%s", t3.render().c_str());
   std::printf(
       "\nReading: the dense tableau scales with vars x rows per pivot, "
-      "so the\n100-front-end rows pull away; block decomposition cuts "
-      "the large\nshapes by 2-8x by solving per-(class, front-end) "
-      "subproblems in\nparallel under the coupling master, while tiny "
-      "shapes stay with the\nmonolithic kernels (the policy's kAuto "
-      "threshold handles routing).\n");
+      "so the\n100-front-end rows pull away; the sparse kernel walks only "
+      "each pivot\nrow's nonzeros and returns the same pivots and "
+      "points bit for bit.\n");
   return 0;
 }

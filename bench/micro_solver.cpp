@@ -11,11 +11,16 @@
 //
 // The check mode plans the deterministic fig06 (worldcup) scenario
 // serially, compares the total simplex pivot count against the
-// checked-in baseline (>10% growth fails), replays a fixed local-search
-// fixture (profiles examined and pivots may not grow, profiles pruned
-// may not shrink, by more than 10%), and micro-asserts that dense LP
-// *construction* stays sub-dominant to solving (the add_term path
-// regressing to quadratic once cost more than the solves it fed).
+// checked-in baseline (>10% growth fails), and holds three more
+// fixtures to the same 10% headroom, each count pointed the way it
+// regresses: a local-search fleet and a 16-DC scale policy (profiles
+// examined and pivots may not grow, profiles pruned may not shrink) and
+// the 8-class x 32-front-end x 16-DC anchor LP (pivots may not grow,
+// sparse-kernel skips may not shrink). The scale policy is planned on
+// two fresh instances whose counts must match exactly. Last, it
+// micro-asserts that dense LP *construction* stays sub-dominant to
+// solving (the add_term path regressing to quadratic once cost more
+// than the solves it fed).
 
 #include <benchmark/benchmark.h>
 
@@ -24,12 +29,13 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "bench_common.hpp"
 #include "core/controller.hpp"
 #include "core/optimized_policy.hpp"
 #include "core/paper_scenarios.hpp"
 #include "core/scenario_gen.hpp"
-#include "solver/decomposed.hpp"
 #include "solver/milp.hpp"
 #include "solver/nlp.hpp"
 #include "solver/simplex.hpp"
@@ -139,14 +145,12 @@ struct SearchCounts {
   std::uint64_t profiles_examined = 0;
   std::uint64_t profiles_pruned = 0;
   std::uint64_t simplex_pivots = 0;
+  bool operator==(const SearchCounts&) const = default;
 };
 
-struct DecompCounts {
-  std::uint64_t master_iterations = 0;
-  std::uint64_t subproblem_solves = 0;
-  /// Decomposed x bitwise equals the monolithic x on the fixture (the
-  /// crossover contract); a hard failure, not a headroom check.
-  bool identical = false;
+struct AnchorCounts {
+  std::uint64_t simplex_pivots = 0;
+  std::uint64_t sparse_price_skips = 0;
 };
 
 // Plans the fig06 worldcup study (24 slots) serially with the default
@@ -171,8 +175,8 @@ PivotCounts measure_fig06_pivots() {
 
 // Local-search fixture: a generated 2-class x 8-front-end x 12-DC fleet
 // with up to 3 TUF levels (at least 2^24 profiles, far past
-// enumeration; with every cell on, a profile LP has 192 routing arcs and
-// reaches the Dantzig-Wolfe threshold), planned serially for 8 slots.
+// enumeration; with every cell on, a profile LP has 192 routing arcs),
+// planned serially for 8 slots.
 // The search is serial and first-improvement and every LP's pivot path
 // is deterministic, so its counts are exact machine-independent numbers.
 constexpr std::size_t kLocalSearchSlots = 8;
@@ -195,50 +199,55 @@ SearchCounts measure_local_search() {
   return c;
 }
 
-// Canned block-angular fixture for the Dantzig-Wolfe gate: 8 flow-style
-// blocks of 4 bounded variables coupled by 3 dense capacity-style rows —
-// the dispatcher's profile-LP shape at a size where column generation
-// does several pricing rounds. Deterministic (fixed seed), so the round
-// and subproblem counts are exact machine-independent numbers.
-LinearProgram decomposition_fixture() {
-  Rng rng(4242);
-  LinearProgram lp;
-  lp.set_objective_sense(Sense::kMaximize);
-  constexpr int kBlocks = 8;
-  constexpr int kVarsPerBlock = 4;
-  for (int b = 0; b < kBlocks; ++b) {
-    std::vector<std::pair<int, double>> terms;
-    for (int v = 0; v < kVarsPerBlock; ++v) {
-      terms.emplace_back(
-          lp.add_variable(0.0, rng.uniform(1.0, 5.0), rng.uniform(0.5, 3.0)),
-          1.0);
-    }
-    lp.add_constraint(terms, Relation::kLe, rng.uniform(1.5, 6.0));
-  }
-  for (int c = 0; c < 3; ++c) {
-    std::vector<std::pair<int, double>> terms;
-    for (int j = 0; j < lp.num_variables(); ++j) {
-      terms.emplace_back(j, rng.uniform(0.2, 1.5));
-    }
-    lp.add_constraint(terms, Relation::kLe, rng.uniform(4.0, 10.0));
-  }
-  return lp;
+// Scale fixture: the 3-class x 6-front-end x 16-DC fleet (Rng 9090)
+// whose every-cell-on profile LP has 288 routing arcs, planned for one
+// slot by local search with one restart. Deterministic like the
+// local-search fixture, so two fresh policies must count alike.
+SearchCounts measure_scale_policy() {
+  Rng rng(9090);
+  const Topology topo = bench::scale_topology(3, 6, 16, rng);
+  const SlotInput input = bench::scale_input(3, 6, 16, rng);
+  OptimizedPolicy::Options opt;
+  opt.local_search_restarts = 1;
+  OptimizedPolicy policy(opt);
+  (void)policy.plan_slot(topo, input);
+  return {policy.profiles_examined(), policy.profiles_pruned(),
+          policy.lp_iterations()};
 }
 
-DecompCounts measure_decomposition_fixture() {
-  const LinearProgram lp = decomposition_fixture();
-  const DecomposedSolver dec;
-  const LpSolution sol = dec.solve(lp);
-  const LpSolution mono = SimplexSolver().solve(lp);
-  DecompCounts c;
-  c.master_iterations =
-      static_cast<std::uint64_t>(dec.stats().master_iterations);
-  c.subproblem_solves =
-      static_cast<std::uint64_t>(dec.stats().subproblem_solves);
-  c.identical = dec.stats().decomposed &&
-                sol.status == LpStatus::kOptimal &&
-                mono.status == LpStatus::kOptimal && sol.x == mono.x;
-  return c;
+// The ext_scale gate's 8-class x 32-front-end x 16-DC anchor LP (Rng
+// 4242, 4096 variables), solved cold by the default sparse kernel.
+AnchorCounts measure_anchor_lp() {
+  Rng rng(4242);
+  const Topology topo = bench::scale_topology(8, 32, 16, rng);
+  const SlotInput input = bench::scale_input(8, 32, 16, rng);
+  const LpSolution sol =
+      SimplexSolver().solve(bench::anchor_dispatch_lp(topo, input));
+  return {static_cast<std::uint64_t>(sol.iterations),
+          sol.sparse_price_skips};
+}
+
+// One exact fixture counter held against its baseline key, pointed the
+// way it regresses.
+struct Gate {
+  const char* key;
+  std::uint64_t measured;
+  bool higher_is_worse;
+};
+
+std::vector<Gate> fixture_gates(const SearchCounts& local,
+                                const SearchCounts& scale,
+                                const AnchorCounts& anchor) {
+  return {
+      {"local_search_profiles_examined", local.profiles_examined, true},
+      {"local_search_profiles_pruned", local.profiles_pruned, false},
+      {"local_search_simplex_pivots", local.simplex_pivots, true},
+      {"scale_profiles_examined", scale.profiles_examined, true},
+      {"scale_profiles_pruned", scale.profiles_pruned, false},
+      {"scale_simplex_pivots", scale.simplex_pivots, true},
+      {"anchor_simplex_pivots", anchor.simplex_pivots, true},
+      {"anchor_sparse_price_skips", anchor.sparse_price_skips, false},
+  };
 }
 
 // Dense-model construction must stay sub-dominant to solving. The bound
@@ -263,8 +272,6 @@ bool model_build_stays_subdominant() {
 
 int write_pivot_baseline(const std::string& path) {
   const PivotCounts c = measure_fig06_pivots();
-  const DecompCounts d = measure_decomposition_fixture();
-  const SearchCounts ls = measure_local_search();
   Json doc = Json::object();
   doc.set("schema", Json(std::string(kPivotSchema)));
   doc.set("scenario", Json(std::string("worldcup")));
@@ -276,16 +283,11 @@ int write_pivot_baseline(const std::string& path) {
           Json(static_cast<double>(c.profiles_examined)));
   doc.set("sparse_price_skips",
           Json(static_cast<double>(c.sparse_price_skips)));
-  doc.set("dw_master_iterations",
-          Json(static_cast<double>(d.master_iterations)));
-  doc.set("dw_subproblem_solves",
-          Json(static_cast<double>(d.subproblem_solves)));
-  doc.set("local_search_profiles_examined",
-          Json(static_cast<double>(ls.profiles_examined)));
-  doc.set("local_search_profiles_pruned",
-          Json(static_cast<double>(ls.profiles_pruned)));
-  doc.set("local_search_simplex_pivots",
-          Json(static_cast<double>(ls.simplex_pivots)));
+  for (const Gate& g : fixture_gates(measure_local_search(),
+                                     measure_scale_policy(),
+                                     measure_anchor_lp())) {
+    doc.set(g.key, Json(static_cast<double>(g.measured)));
+  }
   std::ofstream os(path);
   if (!os) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
@@ -326,73 +328,34 @@ int check_pivot_baseline(const std::string& path) {
       static_cast<unsigned long long>(c.profiles_examined),
       static_cast<unsigned long long>(c.sparse_price_skips));
   bool ok = true;
-  // Dantzig-Wolfe gate on the canned block fixture: the crossover must
-  // reproduce the monolithic point bitwise (hard), and the round /
-  // subproblem counts get the same +10% headroom as the pivot count (a
-  // regression here means column generation started spinning).
-  {
-    const DecompCounts d = measure_decomposition_fixture();
-    const auto base_rounds = static_cast<std::uint64_t>(
-        doc.at("dw_master_iterations").as_number());
-    const auto base_subs = static_cast<std::uint64_t>(
-        doc.at("dw_subproblem_solves").as_number());
-    std::printf(
-        "dw fixture: master_iterations=%llu (baseline %llu) "
-        "subproblem_solves=%llu (baseline %llu) identical=%s\n",
-        static_cast<unsigned long long>(d.master_iterations),
-        static_cast<unsigned long long>(base_rounds),
-        static_cast<unsigned long long>(d.subproblem_solves),
-        static_cast<unsigned long long>(base_subs),
-        d.identical ? "yes" : "NO");
-    if (!d.identical) {
-      std::fprintf(stderr,
-                   "FAIL: decomposed solve no longer reproduces the "
-                   "monolithic point on the fixture\n");
-      ok = false;
-    }
-    if (static_cast<double>(d.master_iterations) >
-            static_cast<double>(base_rounds) * (1.0 + kPivotHeadroom) ||
-        static_cast<double>(d.subproblem_solves) >
-            static_cast<double>(base_subs) * (1.0 + kPivotHeadroom)) {
-      std::fprintf(stderr,
-                   "FAIL: Dantzig-Wolfe effort regressed more than %.0f%% "
-                   "over the baseline; if intentional, refresh with "
-                   "--write-pivots\n",
-                   100.0 * kPivotHeadroom);
-      ok = false;
-    }
+  // The scale policy's search is deterministic: a second fresh policy
+  // must count exactly what the first did (a hard failure, no headroom).
+  const SearchCounts scale = measure_scale_policy();
+  const SearchCounts scale_again = measure_scale_policy();
+  std::printf("scale policy repeat: %s\n",
+              scale == scale_again ? "identical" : "DIFFERS");
+  if (scale != scale_again) {
+    std::fprintf(stderr,
+                 "FAIL: two fresh scale policies reported different "
+                 "examined/pruned/pivot counts\n");
+    ok = false;
   }
-  // Local-search gate: the same 10% headroom, pointed the way each
-  // count regresses — examined profiles and pivots grow, pruned
-  // profiles shrink when the neighbor prune stops firing.
-  {
-    const SearchCounts ls = measure_local_search();
-    struct Gate {
-      const char* key;
-      std::uint64_t measured;
-      bool higher_is_worse;
-    };
-    const Gate gates[] = {
-        {"local_search_profiles_examined", ls.profiles_examined, true},
-        {"local_search_profiles_pruned", ls.profiles_pruned, false},
-        {"local_search_simplex_pivots", ls.simplex_pivots, true},
-    };
-    for (const Gate& g : gates) {
-      const double base = doc.at(g.key).as_number();
-      const double measured = static_cast<double>(g.measured);
-      const bool regressed =
-          g.higher_is_worse ? measured > base * (1.0 + kPivotHeadroom)
-                            : measured < base * (1.0 - kPivotHeadroom);
-      std::printf("local search: %s=%llu (baseline %.0f)\n", g.key,
-                  static_cast<unsigned long long>(g.measured), base);
-      if (regressed) {
-        std::fprintf(stderr,
-                     "FAIL: %s regressed more than %.0f%% against the "
-                     "baseline; if intentional, refresh with "
-                     "--write-pivots\n",
-                     g.key, 100.0 * kPivotHeadroom);
-        ok = false;
-      }
+  for (const Gate& g : fixture_gates(measure_local_search(), scale,
+                                     measure_anchor_lp())) {
+    const double base = doc.at(g.key).as_number();
+    const double measured = static_cast<double>(g.measured);
+    const bool regressed =
+        g.higher_is_worse ? measured > base * (1.0 + kPivotHeadroom)
+                          : measured < base * (1.0 - kPivotHeadroom);
+    std::printf("%s=%llu (baseline %.0f)\n", g.key,
+                static_cast<unsigned long long>(g.measured), base);
+    if (regressed) {
+      std::fprintf(stderr,
+                   "FAIL: %s regressed more than %.0f%% against the "
+                   "baseline; if intentional, refresh with "
+                   "--write-pivots\n",
+                   g.key, 100.0 * kPivotHeadroom);
+      ok = false;
     }
   }
   if (static_cast<double>(c.simplex_pivots) > limit) {

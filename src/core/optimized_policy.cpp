@@ -7,7 +7,6 @@
 
 #include "check/plan_checker.hpp"
 #include "queueing/mm1.hpp"
-#include "solver/decomposed.hpp"
 #include "solver/simplex.hpp"
 #include "units/units.hpp"
 #include "util/annotations.hpp"
@@ -51,8 +50,6 @@ struct ProfileOutcome {
   std::vector<double> server_shadow_prices;
   int lp_iterations = 0;
   std::uint64_t sparse_price_skips = 0;
-  int master_iterations = 0;
-  int subproblem_solves = 0;
   bool phase1_skipped = false;
   bool basis_warm_used = false;
   /// Final LP basis in global coordinates (filled only on request).
@@ -429,23 +426,7 @@ ProfileOutcome solve_profile(const SlotTable& slot, const Profile& profile,
     solver_opt.max_iterations = static_cast<int>(opt.lp_max_iterations);
   }
   solver_opt.cancel = opt.cancel;
-  const bool decompose =
-      opt.decomposed_solve == OptimizedPolicy::DecomposedSolve::kOn ||
-      (opt.decomposed_solve == OptimizedPolicy::DecomposedSolve::kAuto &&
-       lp.num_variables() >= opt.decomposed_min_variables);
-  LpSolution sol;
-  if (decompose) {
-    DecomposedSolver::Options dec_opt;
-    dec_opt.lp = solver_opt;
-    dec_opt.subproblem_workers = opt.decomposed_workers;
-    const DecomposedSolver dec(dec_opt);
-    sol = dec.solve(lp, warm_ptr);
-    out.master_iterations = dec.stats().master_iterations;
-    out.subproblem_solves = dec.stats().subproblem_solves;
-  } else {
-    const SimplexSolver solver(solver_opt);
-    sol = solver.solve(lp, warm_ptr);
-  }
+  const LpSolution sol = SimplexSolver(solver_opt).solve(lp, warm_ptr);
   out.lp_iterations = sol.iterations;
   out.sparse_price_skips = sol.sparse_price_skips;
   out.phase1_skipped = sol.phase1_skipped;
@@ -648,8 +629,6 @@ DispatchPlan OptimizedPolicy::plan_slot(const Topology& topo,
   phase1_skips_ = 0;
   basis_warm_hits_ = 0;
   sparse_price_skips_ = 0;
-  master_iterations_ = 0;
-  subproblem_solves_ = 0;
   const SlotTable slot(topo, input, options_);
 
   ProfileOutcome initial;
@@ -665,8 +644,6 @@ DispatchPlan OptimizedPolicy::plan_slot(const Topology& topo,
   std::atomic<std::uint64_t> p1_skips{0};
   std::atomic<std::uint64_t> basis_hits{0};
   std::atomic<std::uint64_t> price_skips{0};
-  std::atomic<std::uint64_t> master_iters{0};
-  std::atomic<std::uint64_t> sub_solves{0};
 
   auto evaluate = [&](const Profile& profile, std::uint64_t index,
                       const ProfilePrep& prep, const GlobalBasis* warm_basis,
@@ -690,12 +667,6 @@ DispatchPlan OptimizedPolicy::plan_slot(const Topology& topo,
                      std::memory_order_relaxed);
     price_skips.fetch_add(outcome.sparse_price_skips,
                           std::memory_order_relaxed);
-    master_iters.fetch_add(
-        static_cast<std::uint64_t>(outcome.master_iterations),
-        std::memory_order_relaxed);
-    sub_solves.fetch_add(
-        static_cast<std::uint64_t>(outcome.subproblem_solves),
-        std::memory_order_relaxed);
     if (outcome.phase1_skipped) {
       p1_skips.fetch_add(1, std::memory_order_relaxed);
     }
@@ -893,16 +864,12 @@ DispatchPlan OptimizedPolicy::plan_slot(const Topology& topo,
   phase1_skips_ = p1_skips.load();
   basis_warm_hits_ = basis_hits.load();
   sparse_price_skips_ = price_skips.load();
-  master_iterations_ = master_iters.load();
-  subproblem_solves_ = sub_solves.load();
   totals_.profiles_examined += profiles_examined_;
   totals_.profiles_pruned += profiles_pruned_;
   totals_.lp_iterations += lp_iterations_;
   totals_.phase1_skips += phase1_skips_;
   totals_.basis_warm_hits += basis_warm_hits_;
   totals_.sparse_price_skips += sparse_price_skips_;
-  totals_.master_iterations += master_iterations_;
-  totals_.subproblem_solves += subproblem_solves_;
   server_shadow_prices_ = best.server_shadow_prices;
   if (server_shadow_prices_.empty()) {
     server_shadow_prices_.assign(topo.num_datacenters(), 0.0);
@@ -923,9 +890,6 @@ std::unique_ptr<Policy> OptimizedPolicy::degraded() const {
   opt.max_enumerated_profiles = 1u << 10;
   opt.local_search_restarts = 1;
   opt.lp_max_iterations = 2000;
-  // Column generation spends pivots across many inner solves before the
-  // crossover; under a tight per-LP budget that overhead is pure risk.
-  opt.decomposed_solve = DecomposedSolve::kOff;
   // The fallback rung must be allowed to finish even while the watchdog
   // is cancelling the full solve: the pivot budget above already bounds
   // its runtime, so the token is dropped rather than inherited.

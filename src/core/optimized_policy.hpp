@@ -18,8 +18,9 @@ namespace palb {
 /// the minimal share for band q is phi = (lambda_per_server + 1/D_q)/(C mu)
 /// so the per-server share budget becomes a linear capacity row. The
 /// policy searches profile space (exhaustively below a threshold,
-/// first-improvement local search above it), solving one LP per profile;
-/// the exhaustive sweep fans across a thread pool.
+/// first-improvement local search above it), solving one LP per profile
+/// with the monolithic SimplexSolver; the exhaustive sweep fans across a
+/// thread pool.
 ///
 /// Each plan_slot first compiles a table of everything a profile
 /// evaluation reads that does not depend on the profile: the value
@@ -42,15 +43,6 @@ class OptimizedPolicy : public Policy {
   /// constraint with the deadline shrunk by ln(1/(1-p)) — so the same
   /// LP machinery plans hard latency SLOs at a capacity premium.
   enum class DelayMetric { kMeanDelay, kTailPercentile };
-
-  /// Whether profile LPs route through the block-decomposed
-  /// (Dantzig-Wolfe) driver in src/solver/decomposed.hpp. The driver
-  /// detects block-angular structure at runtime and falls back to the
-  /// monolithic simplex when it is absent, and its crossover +
-  /// deterministic refactorization make decomposed and monolithic
-  /// solves return bitwise-identical points — so this switch changes
-  /// solve *time* on large topologies, never plans.
-  enum class DecomposedSolve { kOff, kAuto, kOn };
 
   struct Options {
     /// Exhaustive enumeration is used while the profile count stays below
@@ -104,23 +96,6 @@ class OptimizedPolicy : public Policy {
     /// fault schedules can also force-exhaust it to model solver
     /// failures.
     std::uint64_t lp_max_iterations = 0;
-    /// kAuto (the default) decomposes only the LPs big enough for the
-    /// column-generation overhead to pay off (>= decomposed_min_variables
-    /// variables) — small topologies keep the plain simplex path with
-    /// zero overhead. kOn forces the decomposed driver everywhere (it
-    /// still falls back per-LP when no block structure exists); kOff
-    /// disables it. degraded() forces kOff: rung 2 wants the smallest
-    /// constant factor, not asymptotic scaling.
-    DecomposedSolve decomposed_solve = DecomposedSolve::kAuto;
-    /// kAuto size threshold, in LP variables (active (k, s, l) routing
-    /// arcs). Below this the monolithic simplex wins outright.
-    int decomposed_min_variables = 192;
-    /// Worker budget for the decomposed driver's per-round subproblem
-    /// fan-out. The default 1 solves inline — the right choice while the
-    /// profile sweep itself fans across the pool; raise it only when
-    /// profiles are solved one at a time (huge LPs, serial sweeps).
-    /// Plans are identical for every value.
-    std::size_t decomposed_workers = 1;
     /// Cooperative cancellation token (not owned; may be nullptr),
     /// normally installed via Policy::set_cancel(). Forwarded into every
     /// profile LP (SimplexSolver::Options::cancel) and polled between
@@ -173,12 +148,6 @@ class OptimizedPolicy : public Policy {
   /// Dense column updates the simplex's support-walking pivot kernel
   /// skipped across the most recent plan_slot's LP solves.
   std::uint64_t sparse_price_skips() const { return sparse_price_skips_; }
-  /// Dantzig-Wolfe master re-solves across the most recent plan_slot
-  /// (zero when no LP took the decomposed path).
-  std::uint64_t master_iterations() const { return master_iterations_; }
-  /// Dantzig-Wolfe block subproblem solves across the most recent
-  /// plan_slot.
-  std::uint64_t subproblem_solves() const { return subproblem_solves_; }
   /// Marginal dollar value, per slot, of adding one server to each data
   /// center — the dual of the winning profile's capacity row scaled by a
   /// server's net capacity contribution. Zero where capacity is slack.
@@ -211,8 +180,6 @@ class OptimizedPolicy : public Policy {
   std::uint64_t phase1_skips_ = 0;
   std::uint64_t basis_warm_hits_ = 0;
   std::uint64_t sparse_price_skips_ = 0;
-  std::uint64_t master_iterations_ = 0;
-  std::uint64_t subproblem_solves_ = 0;
   std::vector<double> server_shadow_prices_;
   WarmCache cache_;
   PolicyStats totals_;

@@ -48,9 +48,10 @@ struct PolicyStats {
   /// Dense column updates the simplex's support-walking pivot kernel
   /// skipped (work avoided relative to the dense kernel).
   std::uint64_t sparse_price_skips = 0;
-  /// Dantzig-Wolfe master re-solves across decomposed LP solves.
+  /// Dantzig-Wolfe master re-solves and block subproblem solves: always
+  /// 0 and written by nothing, since no policy decomposes its LPs. Kept
+  /// because the palb-bench-v1 report and the e2e harness read them.
   std::uint64_t master_iterations = 0;
-  /// Dantzig-Wolfe block subproblem solves across decomposed LP solves.
   std::uint64_t subproblem_solves = 0;
 
   PolicyStats& operator+=(const PolicyStats& other) {
@@ -63,8 +64,6 @@ struct PolicyStats {
     phase1_skips += other.phase1_skips;
     basis_warm_hits += other.basis_warm_hits;
     sparse_price_skips += other.sparse_price_skips;
-    master_iterations += other.master_iterations;
-    subproblem_solves += other.subproblem_solves;
     return *this;
   }
   PolicyStats operator-(const PolicyStats& other) const {
@@ -78,8 +77,6 @@ struct PolicyStats {
     d.phase1_skips = phase1_skips - other.phase1_skips;
     d.basis_warm_hits = basis_warm_hits - other.basis_warm_hits;
     d.sparse_price_skips = sparse_price_skips - other.sparse_price_skips;
-    d.master_iterations = master_iterations - other.master_iterations;
-    d.subproblem_solves = subproblem_solves - other.subproblem_solves;
     return d;
   }
   /// Fraction of slots served from the warm-start cache (0 when the

@@ -97,11 +97,6 @@ void LinearProgram::add_term(int row, int var, double value) {
   rows_[row].insert(it, {var, value});
 }
 
-void LinearProgram::set_cost(int var, double cost) {
-  check_var(var);
-  costs_[var] = cost;
-}
-
 void LinearProgram::set_bounds(int var, double lb, double ub) {
   check_var(var);
   PALB_REQUIRE(lb <= ub, "variable bounds must satisfy lb <= ub");

@@ -19,9 +19,8 @@ constexpr double kInfinity = std::numeric_limits<double>::infinity();
 /// column j's entries live at [col_start[j], col_start[j+1]) in
 /// `row_index` / `value`, sorted by row index. Built once per model (see
 /// LinearProgram::column_view) so column-walking consumers — the
-/// simplex's sparse pricer, the Dantzig-Wolfe master's per-column
-/// coupling coefficients — share one pass over the rows instead of each
-/// re-scanning them.
+/// simplex's tableau build and sparse pricer — share one pass over the
+/// rows instead of each re-scanning them.
 struct ColumnView {
   std::vector<int> col_start;  ///< size num_variables() + 1
   std::vector<int> row_index;  ///< size nnz, ascending within a column
@@ -65,7 +64,6 @@ class LinearProgram {
   /// add_constraint overload.
   void add_term(int row, int var, double value);
 
-  void set_cost(int var, double cost);
   void set_bounds(int var, double lb, double ub);
   void set_objective_sense(Sense sense) { sense_ = sense; }
   /// Constant added to the objective (profit terms independent of x).
@@ -84,7 +82,7 @@ class LinearProgram {
   const std::vector<std::pair<int, double>>& row_terms(int row) const;
   /// Column-major (CSC) view of the constraint matrix, built lazily on
   /// first call and cached until the next matrix mutation (add_variable,
-  /// add_constraint, set_coefficient, add_term); cost/bound/sense edits
+  /// add_constraint, set_coefficient, add_term); bound/sense edits
   /// keep it valid. Copies share the cache. The lazy build is not
   /// synchronized — materialize it before handing one model to several
   /// threads (every solver-internal consumer runs single-threaded per

@@ -406,11 +406,10 @@ LpSolution SimplexSolver::solve(const LinearProgram& lp,
   }
 
   // --- 2. Dense rows + shifted rhs, built once off the CSC view. ----------
-  // Walking columns instead of rows lets this share the cached
-  // ColumnView with the decomposed driver's master build. The rhs shift
-  // accumulates per row in ascending-variable order either way (the
-  // outer loop here is ascending j), so rhs0 is bit-identical to the
-  // old row-walking construction.
+  // Walking columns instead of rows reuses the LP's cached ColumnView.
+  // The rhs shift accumulates per row in ascending-variable order either
+  // way (the outer loop here is ascending j), so rhs0 is bit-identical
+  // to the old row-walking construction.
   const ColumnView& csc = lp.column_view();
   std::vector<double> dense(
       static_cast<std::size_t>(m) * static_cast<std::size_t>(n_internal),
@@ -720,16 +719,16 @@ LpSolution SimplexSolver::solve(const LinearProgram& lp,
 
   // --- 6.5 Deterministic refactorization of the basic values. -------------
   // The incremental xb carries the roundoff of the whole pivot path, so
-  // two paths ending in the same basis (monolithic vs the decomposed
-  // driver's crossover, warm vs cold) could disagree in the last ulp —
-  // enough to flip downstream profit near-ties and break the
-  // byte-identical-plans contract. Recomputing B xb = rhs0 - N x_N from
-  // the *original* data makes the returned point a pure function of
+  // two paths ending in the same basis (a cold start vs a warm start
+  // from a neighbor profile's or the anchor's basis) could disagree in
+  // the last ulp — enough to flip downstream profit near-ties and let
+  // the basis warm start change a plan. Recomputing B xb = rhs0 - N x_N
+  // from the *original* data makes the returned point a pure function of
   // (model, final basis set, nonbasic statuses), independent of how the
   // solver got there. Falls back to the incremental values if the basis
   // matrix looks singular (it never is for a basis this solver
   // produced).
-  if (options_.refactor_solution && t.rows > 0) {
+  if (t.rows > 0) {
     const int mb = t.rows;
     const auto mbz = static_cast<std::size_t>(mb);
     // Right-hand side over the surviving rows, nonbasic bound

@@ -124,25 +124,13 @@ class SimplexSolver {
     /// the dense kernel (skipping an exact zero is an arithmetic
     /// no-op); LpSolution::sparse_price_skips counts the work avoided.
     bool sparse_pivoting = true;
-    /// At optimality, recompute the basic values from the original
-    /// data given the final basis (dense LU, deterministic partial
-    /// pivoting) instead of trusting the incrementally updated tableau.
-    /// This makes the returned point a pure function of (model, basis
-    /// set, nonbasic statuses): any two solve paths that end in the
-    /// same basis — warm or cold, monolithic or decomposed-then-
-    /// crossover — return bitwise-identical x, which is what the
-    /// byte-identical-plans contract rests on. Falls back to the
-    /// incremental values if the basis matrix is numerically singular.
-    bool refactor_solution = true;
     /// Cooperative cancellation token (not owned; may be nullptr). The
     /// pivot loop polls it every `cancel_check_every` pivots and returns
     /// LpStatus::kCancelled when it reads true — so a watchdog can stop
     /// a runaway solve at pivot-batch granularity without signals or
     /// thread kills. A solve that never observes the token set is
     /// bit-identical to one run without it (polling has no arithmetic
-    /// effect). DecomposedSolver shares these Options across master,
-    /// subproblem, and crossover solves, so one token covers the whole
-    /// decomposed pipeline.
+    /// effect).
     const std::atomic<bool>* cancel = nullptr;
     /// Pivots between cancellation polls (bounds the cancel latency to
     /// this many pivots per in-flight solve).

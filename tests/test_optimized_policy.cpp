@@ -4,6 +4,8 @@
 
 #include "cloud/accounting.hpp"
 #include "core/balanced_policy.hpp"
+#include "core/controller.hpp"
+#include "core/paper_scenarios.hpp"
 #include "scenario_fixtures.hpp"
 
 namespace palb {
@@ -192,6 +194,31 @@ TEST(OptimizedPolicy, TracksLpIterationCounters) {
   const Topology topo = small_topology();
   policy.plan_slot(topo, small_input());
   EXPECT_GT(policy.lp_iterations(), 0u);
+
+  // The support-walking pivot kernel fires on the paper's high-arrival
+  // scenario, and its skips reach the cumulative PolicyStats.
+  const SlotController controller(
+      paper::basic_synthetic(paper::ArrivalSet::kHigh));
+  OptimizedPolicy paper_policy;
+  (void)controller.run(paper_policy, 2);
+  EXPECT_GT(paper_policy.stats().sparse_price_skips, 0u);
+}
+
+TEST(OptimizedPolicy, StarvedPivotBudgetStillPlansEverySlot) {
+  // A 3-pivot budget starves almost every profile LP. A starved profile
+  // counts as infeasible and the all-off plan is always available, so
+  // every slot still gets a valid plan.
+  const Scenario scenario = paper::basic_synthetic(paper::ArrivalSet::kLow);
+  OptimizedPolicy::Options tight;
+  tight.lp_max_iterations = 3;
+  OptimizedPolicy starved(tight);
+  const RunResult run = SlotController(scenario).run(starved, 2);
+  ASSERT_EQ(run.plans.size(), 2u);
+  for (std::size_t t = 0; t < run.plans.size(); ++t) {
+    EXPECT_TRUE(
+        run.plans[t].is_valid(scenario.topology, scenario.slot_input(t)))
+        << "slot " << t;
+  }
 }
 
 }  // namespace

@@ -182,5 +182,33 @@ TEST(OptimizedPolicyGolden, LocalSearchWithTailAndPropagation) {
                       SearchRecord{0xdddb07fe71c1338eull, 1125, 183, 5345}, 1308);
 }
 
+// ---- Local search at the fleet shape: 192-arc profile LPs. ----
+
+constexpr std::size_t kFleetSlots = 4;
+constexpr SearchRecord kFleet{0xc6e8c0f57ec69619ull, 6437, 1857, 12430};
+
+/// The first four slots of micro_solver's local-search fixture: 2
+/// classes x 8 front-ends x 12 DCs with up to 3 TUF levels, at least
+/// 2^24 profiles. With every cell on, a profile LP has 192 routing arcs,
+/// the size at which the policy used to hand its LPs to a Dantzig-Wolfe
+/// driver. The digest and the examined/pruned counts are the ones that
+/// driver produced; the pivot count is the monolithic simplex's.
+TEST(OptimizedPolicyGolden, LocalSearchAtFleetShape) {
+  scenario_gen::Options shape;
+  shape.min_classes = shape.max_classes = 2;
+  shape.min_frontends = shape.max_frontends = 8;
+  shape.min_datacenters = shape.max_datacenters = 12;
+  shape.max_tuf_levels = 3;
+  shape.zero_rate_probability = 0.0;
+  shape.slots = kFleetSlots;
+  const Scenario scenario = scenario_gen::generate(9, shape);
+  OptimizedPolicy first(serial_options());
+  expect_record(plan_slots(first, scenario, kFleetSlots), kFleet);
+  // The search is serial and every LP's pivot path is deterministic, so
+  // a second fresh policy records exactly the same run.
+  OptimizedPolicy second(serial_options());
+  expect_record(plan_slots(second, scenario, kFleetSlots), kFleet);
+}
+
 }  // namespace
 }  // namespace palb

@@ -209,33 +209,6 @@ TEST(ParallelDeterminism, FaultInjectedRunsMatchAcrossWorkerCounts) {
   }
 }
 
-TEST(ParallelDeterminism, DecomposedSolveMatchesAcrossWorkerCounts) {
-  // The Dantzig-Wolfe driver's subproblem fan-out must be invisible:
-  // for any (slot workers, subproblem workers) pair, plans are
-  // byte-identical to the all-serial run. Forcing kOn exercises the
-  // decomposed path even on these small scenarios; running it under
-  // this suite puts the nested pool under TSan in CI.
-  for (const Case& c : sixteen_scenarios()) {
-    const SlotController controller(c.scenario);
-    OptimizedPolicy::Options base;
-    base.decomposed_solve = OptimizedPolicy::DecomposedSolve::kOn;
-    base.decomposed_workers = 1;
-    OptimizedPolicy serial_policy(base);
-    const RunResult serial =
-        controller.run(serial_policy, c.slots, 0, {.workers = 1});
-    for (const std::size_t sub_workers : {std::size_t{2}, std::size_t{4}}) {
-      OptimizedPolicy::Options opt = base;
-      opt.decomposed_workers = sub_workers;
-      OptimizedPolicy wide_policy(opt);
-      const RunResult wide =
-          controller.run(wide_policy, c.slots, 0, {.workers = 4});
-      EXPECT_EQ(plans_fingerprint(serial), plans_fingerprint(wide))
-          << c.name << " diverged at " << sub_workers
-          << " subproblem workers";
-    }
-  }
-}
-
 TEST(ParallelDeterminism, CannedScheduleMatchesAcrossWorkerCounts) {
   const Scenario sc = paper::basic_synthetic(paper::ArrivalSet::kLow);
   const ResilientController controller(sc,

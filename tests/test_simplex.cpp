@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -317,6 +320,106 @@ TEST(SimplexDeterminism, WarmStartedSolvesPivotIdentically) {
   // Same optimum as the cold solve; the arithmetic path differs (the warm
   // install recomputes basics from scratch) so compare numerically.
   EXPECT_NEAR(warm1.objective, cold.objective, 1e-9);
+}
+
+// ---- Sparse pivot kernel vs dense kernel --------------------------------
+//
+// The support-walking kernel's contract is *bitwise*: skipping an exact
+// zero is an arithmetic no-op, so pivot sequences, statuses, points,
+// objectives and duals must match the dense kernel exactly.
+
+/// Block-angular maximization instance: `blocks` independent groups of
+/// variables, each with its own "flow" row, tied together by `coupling`
+/// dense rows — the same shape as the dispatcher's profile LPs (flow
+/// per (class, front-end), capacity per DC). All data is continuous
+/// random, so the optimum is unique almost surely.
+LinearProgram random_block_lp(std::uint64_t seed, int blocks = 4,
+                              int vars_per_block = 3, int coupling = 2) {
+  Rng rng(seed * 104729 + 7);
+  LinearProgram lp;
+  lp.set_objective_sense(Sense::kMaximize);
+  std::vector<std::vector<int>> block_vars(
+      static_cast<std::size_t>(blocks));
+  for (int b = 0; b < blocks; ++b) {
+    for (int v = 0; v < vars_per_block; ++v) {
+      block_vars[static_cast<std::size_t>(b)].push_back(lp.add_variable(
+          0.0, rng.uniform(1.0, 5.0), rng.uniform(0.5, 3.0)));
+    }
+  }
+  for (int b = 0; b < blocks; ++b) {
+    std::vector<std::pair<int, double>> terms;
+    for (const int v : block_vars[static_cast<std::size_t>(b)]) {
+      terms.emplace_back(v, 1.0);
+    }
+    lp.add_constraint(terms, Relation::kLe, rng.uniform(1.0, 6.0));
+  }
+  for (int c = 0; c < coupling; ++c) {
+    std::vector<std::pair<int, double>> terms;
+    for (int j = 0; j < lp.num_variables(); ++j) {
+      terms.emplace_back(j, rng.uniform(0.2, 1.5));
+    }
+    lp.add_constraint(terms, Relation::kLe, rng.uniform(2.0, 8.0));
+  }
+  return lp;
+}
+
+/// General (non-block) random LP for the kernel differential: mixed
+/// relations, some negative rhs, maximize.
+LinearProgram random_general_lp(std::uint64_t seed) {
+  Rng rng(seed * 6151 + 11);
+  LinearProgram lp;
+  lp.set_objective_sense(Sense::kMaximize);
+  const int n = 4 + static_cast<int>(rng.uniform_index(5));
+  const int m = 3 + static_cast<int>(rng.uniform_index(4));
+  for (int j = 0; j < n; ++j) {
+    lp.add_variable(0.0, rng.uniform(0.5, 4.0), rng.uniform(-1.0, 3.0));
+  }
+  for (int r = 0; r < m; ++r) {
+    std::vector<std::pair<int, double>> terms;
+    for (int j = 0; j < n; ++j) {
+      if (rng.uniform(0.0, 1.0) < 0.7) {
+        terms.emplace_back(j, rng.uniform(-1.0, 2.0));
+      }
+    }
+    if (terms.empty()) terms.emplace_back(0, 1.0);
+    const double roll = rng.uniform(0.0, 1.0);
+    const Relation rel = roll < 0.7   ? Relation::kLe
+                         : roll < 0.85 ? Relation::kGe
+                                       : Relation::kEq;
+    const double rhs = rel == Relation::kGe ? rng.uniform(-2.0, 0.5)
+                                            : rng.uniform(0.5, 6.0);
+    lp.add_constraint(terms, rel, rhs);
+  }
+  return lp;
+}
+
+TEST(SparsePivoting, BitIdenticalToDenseKernel) {
+  std::uint64_t total_skips = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const LinearProgram lp = seed % 2 == 0 ? random_block_lp(seed)
+                                           : random_general_lp(seed);
+    SimplexSolver::Options dense_opt;
+    dense_opt.sparse_pivoting = false;
+    dense_opt.record_pivots = true;
+    SimplexSolver::Options sparse_opt;
+    sparse_opt.sparse_pivoting = true;
+    sparse_opt.record_pivots = true;
+
+    const LpSolution d = SimplexSolver(dense_opt).solve(lp);
+    const LpSolution s = SimplexSolver(sparse_opt).solve(lp);
+    ASSERT_EQ(d.status, s.status) << "seed " << seed;
+    EXPECT_EQ(d.pivot_log, s.pivot_log) << "seed " << seed;
+    EXPECT_EQ(d.iterations, s.iterations) << "seed " << seed;
+    EXPECT_EQ(d.objective, s.objective) << "seed " << seed;
+    EXPECT_EQ(d.x, s.x) << "seed " << seed;
+    EXPECT_EQ(d.duals, s.duals) << "seed " << seed;
+    EXPECT_EQ(d.sparse_price_skips, 0u) << "dense kernel must not count";
+    total_skips += s.sparse_price_skips;
+  }
+  // The hybrid kernel hands filled-in pivot rows back to the dense
+  // loops, so an individual instance may legitimately count nothing;
+  // across 40 instances the sparse path must still fire.
+  EXPECT_GT(total_skips, 0u) << "sparse path never taken in 40 instances";
 }
 
 }  // namespace
