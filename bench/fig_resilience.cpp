@@ -49,8 +49,6 @@ SweepPoint sweep_point(const Scenario& sc, double fault_rate,
                        std::size_t workers) {
   const FaultSchedule schedule = sweep_schedule(sc, fault_rate);
   const ResilientController controller(sc, schedule);
-  OptimizedPolicy::Options popt;
-  popt.parallel = false;
 
   SweepPoint out;
   out.report.name = "fig_resilience_r" + format_double(fault_rate, 2);
@@ -66,7 +64,7 @@ SweepPoint sweep_point(const Scenario& sc, double fault_rate,
 
   ResilientController::Options serial_opt;
   serial_opt.workers = 1;
-  OptimizedPolicy serial_policy(popt);
+  OptimizedPolicy serial_policy;
   auto t0 = Clock::now();
   const RunResult serial =
       controller.run(serial_policy, kSlots, 0, serial_opt);
@@ -74,7 +72,7 @@ SweepPoint sweep_point(const Scenario& sc, double fault_rate,
 
   ResilientController::Options parallel_opt;
   parallel_opt.workers = workers;
-  OptimizedPolicy parallel_policy(popt);
+  OptimizedPolicy parallel_policy;
   t0 = Clock::now();
   out.run = controller.run(parallel_policy, kSlots, 0, parallel_opt);
   out.report.parallel_ms = elapsed_ms(t0);

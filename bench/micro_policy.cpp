@@ -44,18 +44,6 @@ void BM_OptimizedSlot_Google(benchmark::State& state) {
 }
 BENCHMARK(BM_OptimizedSlot_Google);
 
-void BM_OptimizedSlot_SerialSweep(benchmark::State& state) {
-  const Scenario sc = paper::worldcup_study();
-  const SlotInput input = sc.slot_input(12);
-  OptimizedPolicy::Options opt;
-  opt.parallel = false;
-  OptimizedPolicy policy(opt);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(policy.plan_slot(sc.topology, input));
-  }
-}
-BENCHMARK(BM_OptimizedSlot_SerialSweep);
-
 void BM_BigMNlpSlot_Google(benchmark::State& state) {
   const Scenario sc = paper::google_study();
   const SlotInput input = sc.slot_input(2);

@@ -152,8 +152,7 @@ RunResult SlotController::run(Policy& policy, std::size_t num_slots,
                               std::size_t first_slot,
                               const RunOptions& options) const {
   PALB_REQUIRE(num_slots > 0, "need at least one slot");
-  std::size_t workers = bounded_workers(
-      options.workers == 0 ? 0 : options.workers, num_slots);
+  std::size_t workers = bounded_workers(options.workers, num_slots);
 
   // Parallel evaluation needs an independent policy per worker; a policy
   // that cannot clone itself runs serially (same plans, one core).

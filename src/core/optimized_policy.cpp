@@ -9,11 +9,8 @@
 #include "queueing/mm1.hpp"
 #include "solver/simplex.hpp"
 #include "units/units.hpp"
-#include "util/annotations.hpp"
 #include "util/error.hpp"
-#include "util/mutex.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace palb {
 
@@ -28,8 +25,9 @@ using Profile = std::vector<int>;
 /// *different* profile. Neighboring profiles share most of their
 /// columns; entries whose variable/row does not exist in the target LP
 /// are dropped on import (the solver tolerates partial bases), and the
-/// solver discards any import that lands out of bounds — so carrying a
-/// basis across profiles can change pivot counts but never solutions.
+/// solver discards any import that lands out of bounds. A warm basis
+/// changes the pivot path: the pivot count, and at a degenerate optimum
+/// which optimal vertex the solve returns.
 struct GlobalBasis {
   /// (is_variable, token). Variable token: routing var (k*S + s)*L + l.
   /// Row token: flow row k*S + s, capacity row K*S + l.
@@ -94,35 +92,6 @@ units::Seconds worst_propagation(const Topology& topo, const SlotInput& input,
   }
   return worst;
 }
-
-/// Incumbent tracker shared by the parallel enumeration sweep.
-/// Lexicographic (objective, lowest index): exact-objective ties would
-/// otherwise resolve by thread schedule. A named struct instead of a
-/// captured local + std::mutex so the lock discipline is
-/// capability-checked: the incumbent is unreachable without its mutex.
-class BestTracker {
- public:
-  explicit BestTracker(ProfileOutcome initial) : best_(std::move(initial)) {}
-
-  void offer(ProfileOutcome&& outcome) PALB_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    if (outcome.objective > best_.objective ||
-        (outcome.objective == best_.objective &&
-         outcome.index < best_.index)) {
-      best_ = std::move(outcome);
-    }
-  }
-
-  /// Moves the winner out; call once, after every worker has drained.
-  ProfileOutcome take() PALB_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    return std::move(best_);
-  }
-
- private:
-  Mutex mutex_;
-  ProfileOutcome best_ PALB_GUARDED_BY(mutex_);
-};
 
 /// Everything a profile evaluation reads that does not depend on the
 /// profile, compiled once per plan_slot. Every entry is the expression
@@ -306,13 +275,12 @@ double profile_value_bound(const SlotTable& slot, const Profile& profile,
 
 /// Solves the LP conditioned on a band profile and realizes the plan
 /// (integer server counts, minimal shares, optional spare distribution).
-/// `warm` (optional) seeds the simplex from another profile's basis;
+/// `warm` (nullable) seeds the simplex from another profile's basis;
 /// `want_basis` asks for the final basis back in global coordinates.
 ProfileOutcome solve_profile(const SlotTable& slot, const Profile& profile,
                              const ProfilePrep& prep,
                              const OptimizedPolicy::Options& opt,
-                             const GlobalBasis* warm = nullptr,
-                             bool want_basis = false) {
+                             const GlobalBasis* warm, bool want_basis) {
   const Topology& topo = slot.topo;
   const SlotInput& input = slot.input;
   const std::size_t K = slot.K;
@@ -557,21 +525,6 @@ std::uint64_t encode_profile(const Profile& profile, const Topology& topo) {
   return index;
 }
 
-/// Per-cell option counts — the shape of profile space. Two topologies
-/// with equal radices have interchangeable profile indices, which is the
-/// invariant the warm cache's signature check needs.
-std::vector<std::uint64_t> profile_radices(const Topology& topo) {
-  const std::size_t K = topo.num_classes();
-  const std::size_t L = topo.num_datacenters();
-  std::vector<std::uint64_t> radices(K * L);
-  for (std::size_t cell = 0; cell < K * L; ++cell) {
-    const std::size_t k = cell % K;
-    radices[cell] =
-        static_cast<std::uint64_t>(topo.classes[k].tuf.levels()) + 1;
-  }
-  return radices;
-}
-
 std::uint64_t profile_space_size(const Topology& topo,
                                  std::uint64_t clamp_at) {
   std::uint64_t total = 1;
@@ -586,38 +539,7 @@ std::uint64_t profile_space_size(const Topology& topo,
   return total;
 }
 
-/// Symmetric relative closeness: |a-b| within tol of the larger
-/// magnitude. Exact zeros only match (near-)zeros.
-bool close_relative(double a, double b, double tol) {
-  const double scale = std::max(std::fabs(a), std::fabs(b));
-  return std::fabs(a - b) <= tol * std::max(scale, 1e-12);
-}
-
 }  // namespace
-
-bool OptimizedPolicy::warm_applicable(const Topology& topo,
-                                      const SlotInput& input) const {
-  if (!cache_.valid) return false;
-  if (cache_.radices != profile_radices(topo)) return false;
-  if (cache_.price.size() != input.price.size()) return false;
-  if (cache_.arrival_rate.size() != input.arrival_rate.size()) return false;
-  const double tol = options_.warm_start_tolerance;
-  for (std::size_t l = 0; l < input.price.size(); ++l) {
-    if (!close_relative(cache_.price[l], input.price[l], tol)) return false;
-  }
-  for (std::size_t k = 0; k < input.arrival_rate.size(); ++k) {
-    if (cache_.arrival_rate[k].size() != input.arrival_rate[k].size()) {
-      return false;
-    }
-    for (std::size_t s = 0; s < input.arrival_rate[k].size(); ++s) {
-      if (!close_relative(cache_.arrival_rate[k][s],
-                          input.arrival_rate[k][s], tol)) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
 
 DispatchPlan OptimizedPolicy::plan_slot(const Topology& topo,
                                         const SlotInput& input) {
@@ -630,153 +552,96 @@ DispatchPlan OptimizedPolicy::plan_slot(const Topology& topo,
   basis_warm_hits_ = 0;
   sparse_price_skips_ = 0;
   const SlotTable slot(topo, input, options_);
+  const std::size_t K = slot.K;
+  const std::size_t cells = K * slot.L;
 
-  ProfileOutcome initial;
-  initial.feasible = true;
-  initial.objective = 0.0;  // the all-off plan is always available
-  initial.index = 0;        // ... and is profile 0 by construction
-  initial.plan = DispatchPlan::zero(topo);
-  BestTracker tracker(std::move(initial));
+  ProfileOutcome best;
+  best.feasible = true;
+  best.objective = 0.0;  // the all-off plan is always available
+  best.index = 0;        // ... and is profile 0 by construction
+  best.plan = DispatchPlan::zero(topo);
 
-  std::atomic<std::uint64_t> examined{0};
-  std::atomic<std::uint64_t> pruned{0};
-  std::atomic<std::uint64_t> pivots{0};
-  std::atomic<std::uint64_t> p1_skips{0};
-  std::atomic<std::uint64_t> basis_hits{0};
-  std::atomic<std::uint64_t> price_skips{0};
-
-  auto evaluate = [&](const Profile& profile, std::uint64_t index,
-                      const ProfilePrep& prep, const GlobalBasis* warm_basis,
-                      GlobalBasis* capture) {
-    // Cancellation drains the sweep instead of throwing out of a pool
-    // worker: remaining profiles fall through without an LP solve and
-    // plan_slot raises SolveCancelled once every worker has joined. A
-    // solve already in flight stops at its next pivot batch
-    // (SimplexSolver::Options::cancel) and reports kCancelled, which
-    // lands here as an infeasible outcome.
+  // A solve the token stops mid-pivot reports kCancelled, which lands as
+  // an infeasible outcome; the check after the search keeps such a
+  // partial search from returning a plan.
+  const auto throw_if_cancelled = [&] {
     if (options_.cancel != nullptr &&
         options_.cancel->load(std::memory_order_relaxed)) {
-      return -kInfinity;
+      throw SolveCancelled("OptimizedPolicy::plan_slot cancelled by its "
+                           "deadline watchdog");
     }
-    examined.fetch_add(1, std::memory_order_relaxed);
+  };
+  // Solves one profile, offers it to the incumbent and returns its
+  // objective (-inf when infeasible). `warm` (optional) seeds the
+  // simplex; `capture` (optional) receives the final basis.
+  auto evaluate = [&](const Profile& profile, std::uint64_t index,
+                      const ProfilePrep& prep, const GlobalBasis* warm,
+                      GlobalBasis* capture) {
+    throw_if_cancelled();
+    ++profiles_examined_;
     if (!prep.feasible) return -kInfinity;
     ProfileOutcome outcome = solve_profile(slot, profile, prep, options_,
-                                           warm_basis, capture != nullptr);
+                                           warm, capture != nullptr);
     outcome.index = index;
-    pivots.fetch_add(static_cast<std::uint64_t>(outcome.lp_iterations),
-                     std::memory_order_relaxed);
-    price_skips.fetch_add(outcome.sparse_price_skips,
-                          std::memory_order_relaxed);
-    if (outcome.phase1_skipped) {
-      p1_skips.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (outcome.basis_warm_used) {
-      basis_hits.fetch_add(1, std::memory_order_relaxed);
-    }
+    lp_iterations_ += static_cast<std::uint64_t>(outcome.lp_iterations);
+    sparse_price_skips_ += outcome.sparse_price_skips;
+    if (outcome.phase1_skipped) ++phase1_skips_;
+    if (outcome.basis_warm_used) ++basis_warm_hits_;
     if (!outcome.feasible) return -kInfinity;
     if (capture) *capture = std::move(outcome.basis);
     const double objective = outcome.objective;
-    tracker.offer(std::move(outcome));
+    // Lexicographic (objective, lowest index): the anchor is solved
+    // first but carries the highest index, so an exact tie must still
+    // go to the lowest profile index.
+    if (objective > best.objective ||
+        (objective == best.objective && index < best.index)) {
+      best = std::move(outcome);
+    }
     return objective;
   };
   auto consider = [&](const Profile& profile, std::uint64_t index,
-                      const GlobalBasis* warm_basis, GlobalBasis* capture) {
-    return evaluate(profile, index, prepare_profile(slot, profile),
-                    warm_basis, capture);
+                      const GlobalBasis* warm, GlobalBasis* capture) {
+    return evaluate(profile, index, prepare_profile(slot, profile), warm,
+                    capture);
   };
+
+  // Every cell at its last TUF band: the profile whose LP contains every
+  // other profile's columns.
+  Profile all_last(cells);
+  for (std::size_t cell = 0; cell < cells; ++cell) {
+    all_last[cell] =
+        static_cast<int>(topo.classes[cell % K].tuf.levels()) - 1;
+  }
 
   const std::uint64_t space =
       profile_space_size(topo, options_.max_enumerated_profiles);
-  const bool enumerated = space <= options_.max_enumerated_profiles;
-  double prune_threshold = 0.0;
-
-  // Basis anchor (enumerated path): solve the all-last-band profile cold
-  // and warm-start every other profile from its basis. The anchor is a
-  // function of (topology, input) alone — never of cache state or worker
-  // partition — so each profile's pivot path, and therefore the plan,
-  // stays byte-identical across worker counts and cache histories. Its
-  // objective also seeds the incumbent prune bound (plan-preserving: a
-  // pruned profile can neither win nor tie).
-  GlobalBasis anchor_basis;
-  std::uint64_t anchor_index = space;  // sentinel: no anchor evaluated
-  if (enumerated && options_.warm_start_bases) {
-    const std::size_t K = topo.num_classes();
-    const std::size_t L = topo.num_datacenters();
-    Profile anchor(K * L);
-    for (std::size_t cell = 0; cell < K * L; ++cell) {
-      anchor[cell] =
-          static_cast<int>(topo.classes[cell % K].tuf.levels()) - 1;
-    }
-    anchor_index = encode_profile(anchor, topo);
-    prune_threshold = std::max(
-        prune_threshold, consider(anchor, anchor_index, nullptr,
-                                  &anchor_basis));
-  }
-  const GlobalBasis* sweep_warm =
-      anchor_basis.empty() ? nullptr : &anchor_basis;
-
-  // Warm start (enumerated path only): re-solve the previous slot's
-  // winning profile under *this* slot's inputs, making its objective an
-  // incumbent bound. The sweep then skips profiles whose optimistic
-  // value bound is strictly below it — they can neither win nor tie, so
-  // the chosen plan is bit-identical to a cold solve; only the work
-  // (and the pruned/examined split) shrinks.
-  std::uint64_t warm_index = space;  // sentinel: nothing pre-evaluated
-  bool warm_hit = false;
-  if (enumerated && options_.warm_start) {
-    if (warm_applicable(topo, input)) {
-      warm_hit = true;
-      warm_index = cache_.winning_index;
-      if (warm_index != anchor_index) {  // anchor is already evaluated
-        prune_threshold = std::max(
-            prune_threshold,
-            consider(decode_profile(warm_index, topo), warm_index,
-                     sweep_warm, nullptr));
-      }
-    }
-    totals_.warm_start_hits += warm_hit ? 1 : 0;
-    totals_.warm_start_misses += warm_hit ? 0 : 1;
-  }
-
-  if (enumerated) {
-    // Exhaustive sweep; embarrassingly parallel across profile indices.
-    auto body = [&](std::size_t i) {
-      const auto index = static_cast<std::uint64_t>(i);
-      if (index == warm_index || index == anchor_index) {
-        return;  // already evaluated up front
-      }
+  if (space <= options_.max_enumerated_profiles) {
+    // Basis anchor: solve the all-last-band profile cold and warm-start
+    // every other profile from its basis. The anchor is a function of
+    // (topology, input) alone, so each profile's pivot path, and
+    // therefore the plan, is a function of (topology, input, profile).
+    // Its objective also seeds the prune bound (plan-preserving: a
+    // pruned profile can neither win nor tie).
+    const std::uint64_t anchor_index = encode_profile(all_last, topo);
+    GlobalBasis anchor_basis;
+    const double prune_threshold = std::max(
+        0.0, consider(all_last, anchor_index, nullptr, &anchor_basis));
+    for (std::uint64_t index = 0; index < space; ++index) {
+      if (index == anchor_index) continue;  // already evaluated
       const Profile profile = decode_profile(index, topo);
       const ProfilePrep prep = prepare_profile(slot, profile);
       if (prune_threshold > 0.0 && prep.feasible &&
           profile_value_bound(slot, profile, prep) < prune_threshold) {
-        pruned.fetch_add(1, std::memory_order_relaxed);
-        return;
+        ++profiles_pruned_;
+        continue;
       }
-      evaluate(profile, index, prep, sweep_warm, nullptr);
-    };
-    if (options_.parallel) {
-      parallel_for(static_cast<std::size_t>(space), body);
-    } else {
-      for (std::uint64_t i = 0; i < space; ++i) {
-        body(static_cast<std::size_t>(i));
-      }
+      evaluate(profile, index, prep, &anchor_basis, nullptr);
     }
   } else {
     // First-improvement local search over profile cells from several
     // deterministic/random starting profiles.
-    const std::size_t K = topo.num_classes();
-    const std::size_t L = topo.num_datacenters();
-    const std::size_t cells = K * L;
-
     std::vector<Profile> starts;
-    Profile all_top(cells), all_last(cells);
-    for (std::size_t cell = 0; cell < cells; ++cell) {
-      const std::size_t k = cell % K;
-      all_top[cell] = 0;
-      all_last[cell] =
-          static_cast<int>(topo.classes[k].tuf.levels()) - 1;
-    }
-    starts.push_back(all_top);
+    starts.emplace_back(cells, 0);  // every cell in its top band
     starts.push_back(all_last);
     Rng rng(0xC0FFEEull);
     for (int r = 0; r < options_.local_search_restarts; ++r) {
@@ -793,8 +658,8 @@ DispatchPlan OptimizedPolicy::plan_slot(const Topology& topo,
     for (Profile current : starts) {
       // Chain bases down the search path: the accepted profile's basis
       // warm-starts each neighbor (they differ in one (k, l) band). The
-      // walk is serial and first-improvement, so the chain — like the
-      // search itself — is fully deterministic.
+      // walk is first-improvement, so the chain — like the search
+      // itself — is fully deterministic.
       GlobalBasis chain;
       double current_value = consider(current, encode_profile(current, topo),
                                       nullptr, &chain);
@@ -816,15 +681,13 @@ DispatchPlan OptimizedPolicy::plan_slot(const Topology& topo,
             const ProfilePrep prep = prepare_profile(slot, neighbor);
             if (prep.feasible &&
                 profile_value_bound(slot, neighbor, prep) < current_value) {
-              pruned.fetch_add(1, std::memory_order_relaxed);
+              ++profiles_pruned_;
               continue;
             }
             GlobalBasis neighbor_basis;
-            const double value = evaluate(
-                neighbor, encode_profile(neighbor, topo), prep,
-                options_.warm_start_bases && !chain.empty() ? &chain
-                                                            : nullptr,
-                &neighbor_basis);
+            const double value =
+                evaluate(neighbor, encode_profile(neighbor, topo), prep,
+                         &chain, &neighbor_basis);
             if (value > current_value + 1e-9) {
               current = std::move(neighbor);
               current_value = value;
@@ -837,33 +700,8 @@ DispatchPlan OptimizedPolicy::plan_slot(const Topology& topo,
       }
     }
   }
+  throw_if_cancelled();
 
-  // Every worker has drained (parallel_for joins before returning), so
-  // the incumbent is final; the cache write happens here — after the
-  // sweep — because it records the *winning* index.
-  if (options_.cancel != nullptr &&
-      options_.cancel->load(std::memory_order_relaxed)) {
-    // Thrown only after the drain: no worker is left touching tracker
-    // state, and the warm-start cache is not polluted with a partial
-    // sweep's winner.
-    throw SolveCancelled("OptimizedPolicy::plan_slot cancelled by its "
-                         "deadline watchdog");
-  }
-  const ProfileOutcome best = tracker.take();
-  if (enumerated) {
-    cache_.valid = true;
-    cache_.winning_index = best.index;
-    cache_.radices = profile_radices(topo);
-    cache_.arrival_rate = input.arrival_rate;
-    cache_.price = input.price;
-  }
-
-  profiles_examined_ = examined.load();
-  profiles_pruned_ = pruned.load();
-  lp_iterations_ = pivots.load();
-  phase1_skips_ = p1_skips.load();
-  basis_warm_hits_ = basis_hits.load();
-  sparse_price_skips_ = price_skips.load();
   totals_.profiles_examined += profiles_examined_;
   totals_.profiles_pruned += profiles_pruned_;
   totals_.lp_iterations += lp_iterations_;
@@ -875,14 +713,11 @@ DispatchPlan OptimizedPolicy::plan_slot(const Topology& topo,
     server_shadow_prices_.assign(topo.num_datacenters(), 0.0);
   }
   check::maybe_check_plan(topo, input, best.plan, "OptimizedPolicy");
-  return best.plan;
+  return std::move(best.plan);
 }
 
 std::unique_ptr<Policy> OptimizedPolicy::degraded() const {
   Options opt = options_;
-  opt.parallel = false;
-  opt.warm_start = false;
-  opt.warm_start_bases = false;
   // A small enumeration budget keeps the local-search path (restart
   // count 1) in play for large profile spaces, and the pivot budget
   // bounds every individual LP; budget-exhausted profiles fall back to

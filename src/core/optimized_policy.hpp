@@ -19,8 +19,9 @@ namespace palb {
 /// so the per-server share budget becomes a linear capacity row. The
 /// policy searches profile space (exhaustively below a threshold,
 /// first-improvement local search above it), solving one LP per profile
-/// with the monolithic SimplexSolver; the exhaustive sweep fans across a
-/// thread pool.
+/// with the monolithic SimplexSolver. Each plan_slot is one serial
+/// search that carries no state from earlier slots; slot-level fan-out
+/// (SlotController workers) is the only parallelism.
 ///
 /// Each plan_slot first compiles a table of everything a profile
 /// evaluation reads that does not depend on the profile: the value
@@ -31,6 +32,14 @@ namespace palb {
 /// bound is checked: a profile whose bound falls strictly below an
 /// objective already in hand (the sweep's incumbent, or local search's
 /// current profile) cannot change the plan and is skipped unsolved.
+///
+/// Simplex bases are reused within the slot. The enumerated sweep solves
+/// one anchor profile (every cell at its last TUF band, whose LP holds
+/// every other profile's columns) cold and warm-starts every other
+/// profile from its basis; local search chains each accepted profile's
+/// basis into its neighbors. Each LP's pivot path is thus a function of
+/// (topology, input, profile), which keeps plans byte-identical across
+/// worker counts.
 ///
 /// For one-level TUFs the profile space is {off, on}^(K*L) and each LP is
 /// exactly the paper's linearized formulation (§IV-1).
@@ -56,8 +65,6 @@ class OptimizedPolicy : public Policy {
     /// Give unused CPU share back to loaded classes after solving — the
     /// extra headroom shortens delays and can only raise utility.
     bool distribute_spare_share = true;
-    /// Parallelize the enumeration sweep across hardware threads.
-    bool parallel = true;
     /// Relative safety margin inside each sub-deadline: the plan targets
     /// delays of at most D*(1-margin) so that (a) floating-point
     /// round-trips and (b) the sampling noise of *empirical* mean delays
@@ -65,30 +72,6 @@ class OptimizedPolicy : public Policy {
     /// intended utility band. 2% costs almost no capacity (the per-server
     /// rate loss is ~margin/D req/s) and makes plans robust end-to-end.
     double deadline_margin = 0.02;
-    /// Seed each slot from the previous slot's winning band profile when
-    /// every arrival rate and price moved less than warm_start_tolerance
-    /// (relative), and use the incumbent's objective to skip profiles
-    /// whose optimistic LP value bound falls strictly below it. Plans
-    /// are unchanged: a skipped profile can neither win nor tie, and
-    /// exact-objective ties always resolve to the lowest profile index.
-    /// Only the exhaustive-enumeration path consults the cache.
-    bool warm_start = true;
-    /// Maximum relative per-entry drift of arrival rates and prices for
-    /// the previous slot's solution to count as a warm start.
-    double warm_start_tolerance = 0.05;
-    /// Reuse simplex bases across the profile search (basis-level warm
-    /// starts, independent of the profile-level `warm_start` cache). The
-    /// enumerated sweep solves one deterministic *anchor* profile (every
-    /// cell at its last TUF band — the profile whose LP contains every
-    /// other profile's columns) cold, then warm-starts every other
-    /// profile from the anchor's optimal basis; each LP's pivot path
-    /// thus depends only on (topology, input, profile), never on worker
-    /// partition or cache state, so plans stay byte-identical across
-    /// worker counts. The local-search path chains each accepted
-    /// profile's basis into its neighbors instead (serial, equally
-    /// deterministic). The solver discards any basis that lands
-    /// out-of-bounds, so this can change pivot counts but never plans.
-    bool warm_start_bases = true;
     /// Per-LP simplex pivot budget (0 = the solver's default). A profile
     /// whose LP exhausts the budget is treated as infeasible and skipped
     /// — the all-off zero plan is always available, so plan_slot still
@@ -99,9 +82,9 @@ class OptimizedPolicy : public Policy {
     /// Cooperative cancellation token (not owned; may be nullptr),
     /// normally installed via Policy::set_cancel(). Forwarded into every
     /// profile LP (SimplexSolver::Options::cancel) and polled between
-    /// profiles; once it reads true the sweep stops solving and
-    /// plan_slot throws SolveCancelled. Living in Options means clone()
-    /// propagates it to parallel workers; degraded() clears it.
+    /// profiles; once it reads true plan_slot throws SolveCancelled.
+    /// Living in Options means clone() propagates it to slot-level
+    /// workers; degraded() clears it.
     const std::atomic<bool>* cancel = nullptr;
   };
 
@@ -111,22 +94,21 @@ class OptimizedPolicy : public Policy {
   const std::string& name() const override { return name_; }
   DispatchPlan plan_slot(const Topology& topology,
                          const SlotInput& input) override;
-  /// Fresh copy with the same options; the copy's warm-start cache and
-  /// counters start empty (each parallel worker grows its own chain).
+  /// Fresh copy with the same options; the copy's counters start empty.
   std::unique_ptr<Policy> clone() const override {
     return std::make_unique<OptimizedPolicy>(options_);
   }
-  /// Rung-2 variant: serial, no warm-start state, a small profile space
-  /// and a tight per-LP pivot budget, so one slot's re-solve is cheap
-  /// and bounded. Plans remain deterministic in (topology, input) alone
-  /// — the ResilientController builds a fresh instance per failed slot.
+  /// Rung-2 variant: the same search with a small profile space, one
+  /// local-search restart and a tight per-LP pivot budget, so one slot's
+  /// re-solve is cheap and bounded. Plans remain deterministic in
+  /// (topology, input) alone.
   std::unique_ptr<Policy> degraded() const override;
   /// Installs the watchdog's cancellation token (see Options::cancel).
   void set_cancel(const std::atomic<bool>* cancel) override {
     options_.cancel = cancel;
   }
-  /// Cumulative counters since construction, including warm-start cache
-  /// hits/misses and value-bound prunes.
+  /// Cumulative counters since construction, including value-bound
+  /// prunes. warm_start_hits/misses stay zero: no state crosses slots.
   PolicyStats stats() const override { return totals_; }
 
   /// Profiles examined (LP-solved or found structurally infeasible) by
@@ -135,8 +117,8 @@ class OptimizedPolicy : public Policy {
   std::uint64_t profiles_examined() const { return profiles_examined_; }
   /// Profiles the most recent plan_slot skipped without an LP solve
   /// because their value bound fell strictly below a known objective:
-  /// the enumerated sweep's incumbent (anchor or warm-start re-solve),
-  /// or the current profile's value in local search. Disjoint from
+  /// the anchor's objective in the enumerated sweep, or the current
+  /// profile's value in local search. Disjoint from
   /// profiles_examined().
   std::uint64_t profiles_pruned() const { return profiles_pruned_; }
   /// LP simplex iterations accumulated by the most recent plan_slot.
@@ -158,20 +140,6 @@ class OptimizedPolicy : public Policy {
   }
 
  private:
-  /// Previous enumerated slot's inputs + winning profile index. The
-  /// signature (per-cell radices, input shapes) guards against reuse
-  /// across topologies; correctness never depends on a hit because the
-  /// incumbent is re-solved under the current inputs before it prunes.
-  struct WarmCache {
-    bool valid = false;
-    std::uint64_t winning_index = 0;
-    std::vector<std::uint64_t> radices;  ///< per (k,l) cell, topology sig
-    std::vector<std::vector<double>> arrival_rate;
-    std::vector<double> price;
-  };
-
-  bool warm_applicable(const Topology& topology, const SlotInput& input) const;
-
   std::string name_ = "Optimized";
   Options options_;
   std::uint64_t profiles_examined_ = 0;
@@ -181,7 +149,6 @@ class OptimizedPolicy : public Policy {
   std::uint64_t basis_warm_hits_ = 0;
   std::uint64_t sparse_price_skips_ = 0;
   std::vector<double> server_shadow_prices_;
-  WarmCache cache_;
   PolicyStats totals_;
 };
 

@@ -66,6 +66,7 @@ struct PolicyStats {
     sparse_price_skips += other.sparse_price_skips;
     return *this;
   }
+  friend bool operator==(const PolicyStats&, const PolicyStats&) = default;
   PolicyStats operator-(const PolicyStats& other) const {
     PolicyStats d;
     d.warm_start_hits = warm_start_hits - other.warm_start_hits;

@@ -114,8 +114,7 @@ RunResult ResilientController::run(Policy& policy, std::size_t num_slots,
                                    std::size_t first_slot,
                                    const Options& options) const {
   PALB_REQUIRE(num_slots > 0, "need at least one slot");
-  std::size_t workers = bounded_workers(
-      options.workers == 0 ? 0 : options.workers, num_slots);
+  std::size_t workers = bounded_workers(options.workers, num_slots);
 
   // Install the watchdog's cancellation token before any clone is made
   // so the whole candidate phase shares it (clone() copies it; a no-op

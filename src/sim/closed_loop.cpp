@@ -406,8 +406,7 @@ std::vector<ClosedLoopResult> ClosedLoopSimulator::run_replications(
     results[r] = sim.run(scenario, p, num_slots, first_slot);
   };
 
-  const std::size_t resolved =
-      bounded_workers(workers == 0 ? 0 : workers, replications);
+  const std::size_t resolved = bounded_workers(workers, replications);
   std::vector<std::unique_ptr<Policy>> clones;
   if (resolved > 1) {
     clones.reserve(replications);

@@ -10,16 +10,21 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
 #include <future>
+#include <memory>
+#include <string>
+#include <thread>
 
 #include "core/balanced_policy.hpp"
-#include "core/optimized_policy.hpp"
 #include "core/paper_scenarios.hpp"
 #include "core/plan_handle.hpp"
+#include "core/policy.hpp"
 #include "fault/fault.hpp"
 #include "fault/resilient_controller.hpp"
 #include "serve/async_planner.hpp"
+#include "util/error.hpp"
 
 namespace palb {
 namespace {
@@ -98,6 +103,34 @@ TEST(Chaos, StallsWithoutSurgeShedNothing) {
   EXPECT_TRUE(report.decisions_identical);
 }
 
+/// A solve that never beats its deadline: plan_slot, and the plan_slot
+/// of its degraded() twin, wait until the installed cancel token flips
+/// and then throw SolveCancelled. Any attempt that solves at all thus
+/// expires, however the watchdog thread is scheduled.
+class WaitsForCancelPolicy : public Policy {
+ public:
+  const std::string& name() const override { return name_; }
+  DispatchPlan plan_slot(const Topology& /*topology*/,
+                         const SlotInput& /*input*/) override {
+    while (!cancel_->load(std::memory_order_relaxed)) {
+      std::this_thread::yield();
+    }
+    throw SolveCancelled("WaitsForCancelPolicy cancelled");
+  }
+  std::unique_ptr<Policy> degraded() const override {
+    auto twin = std::make_unique<WaitsForCancelPolicy>();
+    twin->cancel_ = cancel_;
+    return twin;
+  }
+  void set_cancel(const std::atomic<bool>* cancel) override {
+    cancel_ = cancel;
+  }
+
+ private:
+  std::string name_ = "WaitsForCancel";
+  const std::atomic<bool>* cancel_ = nullptr;
+};
+
 TEST(Watchdog, ImpossibleDeadlineDegradesButEverySlotStillPlans) {
   const Scenario sc = paper::basic_synthetic(paper::ArrivalSet::kLow);
   PlanHandle live;
@@ -107,13 +140,14 @@ TEST(Watchdog, ImpossibleDeadlineDegradesButEverySlotStillPlans) {
   options.watchdog.backoff_base_seconds = 1e-4;  // keep the test fast
   AsyncPlanner planner(sc, FaultSchedule{}, live, options);
 
-  OptimizedPolicy policy;
+  WaitsForCancelPolicy policy;
   const RunResult run = planner.solve_async(policy, 3).get();
 
-  // The first attempt and both retries launch (the last attempt can
-  // occasionally finish before its watchdog observes the expiry, so the
-  // expiration count is >= 2, not == 3); each retry descends one effort
-  // rung, and the stale window spans the whole retry phase.
+  // The first attempt (rungs 1-2) and the first retry (rung 2) wait for
+  // the token, so both expire. The last retry solves nothing and may
+  // finish before its watchdog observes the expiry, so the expiration
+  // count is >= 2, not == 3. Each retry descends one effort rung, and
+  // the stale window spans the whole retry phase.
   const AsyncPlanner::WatchdogStats stats = planner.watchdog_stats();
   EXPECT_GE(stats.deadline_expirations, 2u);
   EXPECT_EQ(stats.retries, 2u);

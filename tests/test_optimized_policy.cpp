@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+
 #include "cloud/accounting.hpp"
 #include "core/balanced_policy.hpp"
 #include "core/controller.hpp"
 #include "core/paper_scenarios.hpp"
 #include "scenario_fixtures.hpp"
+#include "util/error.hpp"
 
 namespace palb {
 namespace {
@@ -157,21 +161,6 @@ TEST(OptimizedPolicy, SpareShareImprovesOrMatchesRealizedProfit) {
   EXPECT_GE(profit_with, profit_without - 1e-9);
 }
 
-TEST(OptimizedPolicy, SerialAndParallelSweepsAgree) {
-  const Topology topo = small_topology();
-  const SlotInput input = small_input(1.3);
-  OptimizedPolicy::Options serial;
-  serial.parallel = false;
-  OptimizedPolicy p_serial(serial), p_parallel;
-  const double a =
-      evaluate_plan(topo, input, p_serial.plan_slot(topo, input))
-          .net_profit();
-  const double b =
-      evaluate_plan(topo, input, p_parallel.plan_slot(topo, input))
-          .net_profit();
-  EXPECT_NEAR(a, b, 1e-9);
-}
-
 TEST(OptimizedPolicy, LocalSearchFindsEnumerationOptimumHere) {
   // Force the local-search path on a space small enough to also
   // enumerate; on this instance the hill climb should reach the optimum.
@@ -219,6 +208,34 @@ TEST(OptimizedPolicy, StarvedPivotBudgetStillPlansEverySlot) {
         run.plans[t].is_valid(scenario.topology, scenario.slot_input(t)))
         << "slot " << t;
   }
+}
+
+TEST(OptimizedPolicy, PresetCancelTokenThrowsOnBothSearchPaths) {
+  const Topology topo = small_topology();
+  const SlotInput input = small_input();
+  const std::atomic<bool> cancelled{true};
+  OptimizedPolicy enumerated;
+  enumerated.set_cancel(&cancelled);
+  EXPECT_THROW((void)enumerated.plan_slot(topo, input), SolveCancelled);
+
+  OptimizedPolicy::Options force_search;
+  force_search.max_enumerated_profiles = 1;
+  OptimizedPolicy search(force_search);
+  search.set_cancel(&cancelled);
+  EXPECT_THROW((void)search.plan_slot(topo, input), SolveCancelled);
+}
+
+TEST(OptimizedPolicy, DegradedIgnoresTheCancelToken) {
+  // Rung 2 must finish while the watchdog is cancelling the full solve.
+  const Topology topo = small_topology();
+  const SlotInput input = small_input(3.0);
+  const std::atomic<bool> cancelled{true};
+  OptimizedPolicy policy;
+  policy.set_cancel(&cancelled);
+  const std::unique_ptr<Policy> cheap = policy.degraded();
+  const DispatchPlan plan = cheap->plan_slot(topo, input);
+  EXPECT_TRUE(plan.violations(topo, input).empty());
+  EXPECT_GT(plan.total_rate(), 0.0);
 }
 
 }  // namespace

@@ -41,8 +41,7 @@ void mix(std::uint64_t& digest, double value) {
   mix(digest, bits);
 }
 
-/// Plans slots [0, slots) of `scenario` in order on one policy, so the
-/// warm-start cache carries from slot to slot as it does in production.
+/// Plans slots [0, slots) of `scenario` in order on one policy.
 SearchRecord plan_slots(Policy& policy, const Scenario& scenario,
                         std::size_t slots) {
   SearchRecord record;
@@ -74,30 +73,14 @@ void expect_record(const SearchRecord& got, const SearchRecord& want) {
   EXPECT_EQ(got.lp_iterations, want.lp_iterations);
 }
 
-OptimizedPolicy::Options serial_options() {
-  OptimizedPolicy::Options opt;
-  opt.parallel = false;
-  return opt;
-}
-
 // ---- Enumerated sweep: paper::worldcup_study() and three variants. ----
 
 constexpr std::size_t kWorldcupSlots = 24;
-constexpr SearchRecord kWorldcup{0xb2ee369c654793e7ull, 195, 12093, 1804};
 
 TEST(OptimizedPolicyGolden, WorldcupSerialSweep) {
-  OptimizedPolicy policy(serial_options());
-  expect_record(plan_slots(policy, paper::worldcup_study(), kWorldcupSlots),
-                kWorldcup);
-}
-
-TEST(OptimizedPolicyGolden, WorldcupParallelSweep) {
-  // The sweep's prune threshold is fixed before it fans out and every
-  // LP's pivot path depends only on (topology, input, profile), so the
-  // counters match the serial sweep's as exactly as the plans do.
   OptimizedPolicy policy;
   expect_record(plan_slots(policy, paper::worldcup_study(), kWorldcupSlots),
-                kWorldcup);
+                SearchRecord{0xb2ee369c654793e7ull, 195, 12093, 1804});
 }
 
 TEST(OptimizedPolicyGolden, WorldcupWithIdlePower) {
@@ -106,13 +89,13 @@ TEST(OptimizedPolicyGolden, WorldcupWithIdlePower) {
     scenario.topology.datacenters[l].idle_power_kw =
         3000.0 * static_cast<double>(l + 1);
   }
-  OptimizedPolicy policy(serial_options());
+  OptimizedPolicy policy;
   expect_record(plan_slots(policy, scenario, kWorldcupSlots),
                 SearchRecord{0xc8cd94975dfd3a46ull, 907, 11381, 11822});
 }
 
 TEST(OptimizedPolicyGolden, WorldcupWithTailPercentile) {
-  OptimizedPolicy::Options opt = serial_options();
+  OptimizedPolicy::Options opt;
   opt.delay_metric = OptimizedPolicy::DelayMetric::kTailPercentile;
   OptimizedPolicy policy(opt);
   expect_record(plan_slots(policy, paper::worldcup_study(), kWorldcupSlots),
@@ -126,7 +109,7 @@ TEST(OptimizedPolicyGolden, WorldcupWithPropagation) {
   // the all-on anchor infeasible, so nothing seeds the prune.
   Scenario scenario = paper::worldcup_study();
   scenario.topology.network_latency_s_per_mile = 4e-5;
-  OptimizedPolicy policy(serial_options());
+  OptimizedPolicy policy;
   expect_record(plan_slots(policy, scenario, kWorldcupSlots),
                 SearchRecord{0x8483e43b2f86b5c4ull, 12288, 0, 92848});
 }
@@ -168,7 +151,7 @@ TEST(OptimizedPolicyGolden, LocalSearchDegraded) {
   const Scenario scenario = local_search_fleet();
   const std::unique_ptr<Policy> policy = OptimizedPolicy().degraded();
   expect_local_search(plan_slots(*policy, scenario, 4),
-                      SearchRecord{0x428026cbb0f607cfull, 390, 208, 4874}, 598);
+                      SearchRecord{0x428026cbb0f607cfull, 390, 208, 1268}, 598);
 }
 
 TEST(OptimizedPolicyGolden, LocalSearchWithTailAndPropagation) {
@@ -202,11 +185,11 @@ TEST(OptimizedPolicyGolden, LocalSearchAtFleetShape) {
   shape.zero_rate_probability = 0.0;
   shape.slots = kFleetSlots;
   const Scenario scenario = scenario_gen::generate(9, shape);
-  OptimizedPolicy first(serial_options());
+  OptimizedPolicy first;
   expect_record(plan_slots(first, scenario, kFleetSlots), kFleet);
   // The search is serial and every LP's pivot path is deterministic, so
   // a second fresh policy records exactly the same run.
-  OptimizedPolicy second(serial_options());
+  OptimizedPolicy second;
   expect_record(plan_slots(second, scenario, kFleetSlots), kFleet);
 }
 

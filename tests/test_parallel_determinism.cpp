@@ -87,9 +87,7 @@ void expect_worker_invariant(std::size_t workers, MakePolicy make_policy) {
 
 TEST(ParallelDeterminism, OptimizedFourWorkersMatchesSerial) {
   expect_worker_invariant(4, [] {
-    OptimizedPolicy::Options opt;
-    opt.parallel = false;  // isolate slot-level fan-out
-    return std::make_unique<OptimizedPolicy>(opt);
+    return std::make_unique<OptimizedPolicy>();
   });
 }
 
@@ -97,23 +95,6 @@ TEST(ParallelDeterminism, OptimizedHardwareWorkersMatchesSerial) {
   expect_worker_invariant(0, [] {
     return std::make_unique<OptimizedPolicy>();
   });
-}
-
-TEST(ParallelDeterminism, WarmStartOffMatchesWarmStartOn) {
-  // The incumbent-bound warm start must be plan-preserving: skipped
-  // profiles are strictly worse than the incumbent, ties go to the
-  // lowest profile index either way.
-  for (const Case& c : sixteen_scenarios()) {
-    const SlotController controller(c.scenario);
-    OptimizedPolicy::Options cold_opt;
-    cold_opt.warm_start = false;
-    OptimizedPolicy cold(cold_opt);
-    OptimizedPolicy warm;  // warm_start defaults on
-    const RunResult cold_run = controller.run(cold, c.slots);
-    const RunResult warm_run = controller.run(warm, c.slots);
-    EXPECT_EQ(plans_fingerprint(cold_run), plans_fingerprint(warm_run))
-        << c.name << ": warm start changed a plan";
-  }
 }
 
 TEST(ParallelDeterminism, BalancedManyWorkersMatchesSerial) {
@@ -157,18 +138,15 @@ TEST(ParallelDeterminism, UncloneablePolicyFallsBackToSerial) {
 
 TEST(ParallelDeterminism, StatsAggregateAcrossWorkers) {
   // Parallel runs must surface the summed solver counters of all worker
-  // clones; profile sweeps are partition-invariant (every slot examines
-  // the profile space exactly once whoever owns it).
+  // clones. A slot's search carries no state from earlier slots, so no
+  // counter depends on block boundaries: every field matches.
   const Scenario sc = paper::google_study();
   const SlotController controller(sc);
-  OptimizedPolicy::Options opt;
-  opt.warm_start = false;  // hit/miss splits depend on block boundaries
-  OptimizedPolicy a(opt), b(opt);
+  OptimizedPolicy a, b;
   const RunResult serial = controller.run(a, 4, 0, {.workers = 1});
   const RunResult wide = controller.run(b, 4, 0, {.workers = 4});
   EXPECT_GT(serial.stats.profiles_examined, 0u);
-  EXPECT_EQ(serial.stats.profiles_examined, wide.stats.profiles_examined);
-  EXPECT_EQ(serial.stats.lp_iterations, wide.stats.lp_iterations);
+  EXPECT_TRUE(serial.stats == wide.stats);
 }
 
 TEST(ParallelDeterminism, FaultInjectedRunsMatchAcrossWorkerCounts) {
@@ -185,18 +163,16 @@ TEST(ParallelDeterminism, FaultInjectedRunsMatchAcrossWorkerCounts) {
         fault_gen::generate(c.scenario.topology, 21, gopt);
     const ResilientController controller(c.scenario, schedule);
 
-    OptimizedPolicy::Options popt;
-    popt.parallel = false;
     ResilientController::Options serial_opt;
     serial_opt.workers = 1;
-    OptimizedPolicy serial_policy(popt);
+    OptimizedPolicy serial_policy;
     const RunResult serial =
         controller.run(serial_policy, c.slots, 0, serial_opt);
 
     for (const std::size_t workers : {std::size_t{4}, std::size_t{0}}) {
       ResilientController::Options wide_opt;
       wide_opt.workers = workers;
-      OptimizedPolicy wide_policy(popt);
+      OptimizedPolicy wide_policy;
       const RunResult wide =
           controller.run(wide_policy, c.slots, 0, wide_opt);
       EXPECT_EQ(plans_fingerprint(serial), plans_fingerprint(wide))
@@ -213,15 +189,13 @@ TEST(ParallelDeterminism, CannedScheduleMatchesAcrossWorkerCounts) {
   const Scenario sc = paper::basic_synthetic(paper::ArrivalSet::kLow);
   const ResilientController controller(sc,
                                        fault_gen::canned_acceptance());
-  OptimizedPolicy::Options popt;
-  popt.parallel = false;
   ResilientController::Options serial_opt;
   serial_opt.workers = 1;
-  OptimizedPolicy serial_policy(popt);
+  OptimizedPolicy serial_policy;
   const RunResult serial = controller.run(serial_policy, 24, 0, serial_opt);
   ResilientController::Options wide_opt;
   wide_opt.workers = 4;
-  OptimizedPolicy wide_policy(popt);
+  OptimizedPolicy wide_policy;
   const RunResult wide = controller.run(wide_policy, 24, 0, wide_opt);
   EXPECT_EQ(plans_fingerprint(serial), plans_fingerprint(wide));
   EXPECT_EQ(serial.fallback_rungs, wide.fallback_rungs);

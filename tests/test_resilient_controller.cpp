@@ -102,16 +102,14 @@ TEST(ResilientController, ByteIdenticalAcrossWorkerCounts) {
   const FaultSchedule schedule = fault_gen::canned_acceptance();
   const ResilientController controller(sc, schedule);
 
-  OptimizedPolicy::Options popt;
-  popt.parallel = false;
   ResilientController::Options serial_opt;
   serial_opt.workers = 1;
-  OptimizedPolicy serial_policy(popt);
+  OptimizedPolicy serial_policy;
   const RunResult serial = controller.run(serial_policy, 24, 0, serial_opt);
 
   ResilientController::Options parallel_opt;
   parallel_opt.workers = 4;
-  OptimizedPolicy parallel_policy(popt);
+  OptimizedPolicy parallel_policy;
   const RunResult parallel =
       controller.run(parallel_policy, 24, 0, parallel_opt);
 

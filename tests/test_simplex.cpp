@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <utility>
@@ -181,6 +182,24 @@ TEST(Simplex, SolutionSatisfiesModel) {
   ASSERT_EQ(sol.status, LpStatus::kOptimal);
   EXPECT_TRUE(lp.is_feasible(sol.x, 1e-6));
   EXPECT_NEAR(lp.objective_value(sol.x), sol.objective, 1e-6);
+}
+
+TEST(Simplex, PresetCancelTokenStopsAtTheFirstPoll) {
+  // The textbook LP needs pivots, so a token read before the first one
+  // stops the solve.
+  LinearProgram lp;
+  lp.set_objective_sense(Sense::kMaximize);
+  const int x = lp.add_variable(0, kInfinity, 3.0);
+  const int y = lp.add_variable(0, kInfinity, 5.0);
+  lp.add_constraint({{x, 1.0}}, Relation::kLe, 4.0);
+  lp.add_constraint({{y, 2.0}}, Relation::kLe, 12.0);
+  lp.add_constraint({{x, 3.0}, {y, 2.0}}, Relation::kLe, 18.0);
+  const std::atomic<bool> cancelled{true};
+  SimplexSolver::Options opt;
+  opt.cancel = &cancelled;
+  opt.cancel_check_every = 1;
+  const LpSolution sol = SimplexSolver(opt).solve(lp);
+  EXPECT_EQ(sol.status, LpStatus::kCancelled);
 }
 
 TEST(ToString, LpStatusNames) {

@@ -553,12 +553,6 @@ benchjson::WorkloadResult run_bench_workload(const BenchWorkload& wl,
                                              std::size_t workers) {
   const Scenario sc = resolve_scenario(wl.scenario);
   const SlotController controller(sc);
-  // Both arms disable the in-policy profile-sweep threads so the
-  // comparison isolates slot-level fan-out — otherwise the "serial"
-  // baseline already saturates the machine from inside each slot and
-  // the measured speedup would be meaningless.
-  OptimizedPolicy::Options popt;
-  popt.parallel = false;
 
   benchjson::WorkloadResult out;
   out.name = wl.name;
@@ -572,13 +566,13 @@ benchjson::WorkloadResult run_bench_workload(const BenchWorkload& wl,
         .count();
   };
 
-  OptimizedPolicy serial_policy(popt);
+  OptimizedPolicy serial_policy;
   auto t0 = Clock::now();
   const RunResult serial =
       controller.run(serial_policy, wl.slots, 0, {.workers = 1});
   out.serial_ms = elapsed_ms(t0);
 
-  OptimizedPolicy parallel_policy(popt);
+  OptimizedPolicy parallel_policy;
   t0 = Clock::now();
   const RunResult parallel =
       controller.run(parallel_policy, wl.slots, 0, {.workers = workers});
@@ -598,8 +592,6 @@ benchjson::WorkloadResult run_resilience_workload(std::size_t workers) {
   const Scenario sc = resolve_scenario("basic-low");
   const FaultSchedule schedule = fault_gen::canned_acceptance();
   const ResilientController controller(sc, schedule);
-  OptimizedPolicy::Options popt;
-  popt.parallel = false;
 
   benchjson::WorkloadResult out;
   out.name = "resilience_basic";
@@ -615,7 +607,7 @@ benchjson::WorkloadResult run_resilience_workload(std::size_t workers) {
 
   ResilientController::Options serial_opt;
   serial_opt.workers = 1;
-  OptimizedPolicy serial_policy(popt);
+  OptimizedPolicy serial_policy;
   auto t0 = Clock::now();
   const RunResult serial =
       controller.run(serial_policy, out.slots, 0, serial_opt);
@@ -623,7 +615,7 @@ benchjson::WorkloadResult run_resilience_workload(std::size_t workers) {
 
   ResilientController::Options parallel_opt;
   parallel_opt.workers = workers;
-  OptimizedPolicy parallel_policy(popt);
+  OptimizedPolicy parallel_policy;
   t0 = Clock::now();
   const RunResult parallel =
       controller.run(parallel_policy, out.slots, 0, parallel_opt);
@@ -677,7 +669,7 @@ int cmd_bench(const Args& args) {
                                             results));
 
   TextTable t({"workload", "slots", "serial ms", "parallel ms", "speedup",
-               "slots/s", "pruned", "cache hit %", "plans identical"});
+               "slots/s", "pruned", "plans identical"});
   for (const auto& r : results) {
     t.add_row({r.name, std::to_string(r.slots),
                format_double(r.serial_ms, 1),
@@ -685,7 +677,6 @@ int cmd_bench(const Args& args) {
                format_double(r.speedup(), 2),
                format_double(r.slots_per_sec(), 1),
                std::to_string(r.solver.profiles_pruned),
-               format_double(100.0 * r.solver.cache_hit_rate(), 1),
                r.plans_identical ? "yes" : "NO"});
   }
   std::printf("%swrote %s\n", t.render().c_str(), out_path.c_str());
