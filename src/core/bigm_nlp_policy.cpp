@@ -1,7 +1,6 @@
 #include "core/bigm_nlp_policy.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "check/plan_checker.hpp"
 #include "queueing/mm1.hpp"
@@ -70,36 +69,7 @@ double guarded_delay(double share, double capacity, double mu,
   return 1.0 / headroom;
 }
 
-/// Symmetric relative closeness (mirrors OptimizedPolicy's warm gate).
-bool close_relative(double a, double b, double tol) {
-  const double scale = std::max(std::abs(a), std::abs(b));
-  return std::abs(a - b) <= tol * std::max(scale, 1e-12);
-}
-
 }  // namespace
-
-bool BigMNlpPolicy::warm_applicable(const SlotInput& input,
-                                    std::size_t dimension) const {
-  if (!cache_.valid || cache_.x.size() != dimension) return false;
-  if (cache_.price.size() != input.price.size()) return false;
-  if (cache_.arrival_rate.size() != input.arrival_rate.size()) return false;
-  const double tol = options_.warm_start_tolerance;
-  for (std::size_t l = 0; l < input.price.size(); ++l) {
-    if (!close_relative(cache_.price[l], input.price[l], tol)) return false;
-  }
-  for (std::size_t k = 0; k < input.arrival_rate.size(); ++k) {
-    if (cache_.arrival_rate[k].size() != input.arrival_rate[k].size()) {
-      return false;
-    }
-    for (std::size_t s = 0; s < input.arrival_rate[k].size(); ++s) {
-      if (!close_relative(cache_.arrival_rate[k][s],
-                          input.arrival_rate[k][s], tol)) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
 
 BigMNlpPolicy::BigMNlpPolicy() : BigMNlpPolicy(Options{}) {}
 
@@ -252,26 +222,12 @@ DispatchPlan BigMNlpPolicy::plan_slot(const Topology& topo,
     }
   }
 
-  const std::vector<double>* warm = nullptr;
-  if (options_.warm_start) {
-    const bool hit = warm_applicable(input, problem.dimension);
-    if (hit) warm = &cache_.x;
-    totals_.warm_start_hits += hit ? 1 : 0;
-    totals_.warm_start_misses += hit ? 0 : 1;
-  }
-
   const AugLagSolver solver(options_.nlp);
   const NlpResult result = solver.solve_multistart(
-      problem, x0, options_.multistarts, Rng(options_.seed), warm);
+      problem, x0, options_.multistarts, Rng(options_.seed));
   inner_iterations_ = result.inner_iterations;
   totals_.nlp_iterations += static_cast<std::uint64_t>(
       std::max(0, result.inner_iterations));
-  if (options_.warm_start) {
-    cache_.valid = true;
-    cache_.x = result.x;
-    cache_.arrival_rate = input.arrival_rate;
-    cache_.price = input.price;
-  }
 
   // ---- Realize (collapse servers back to the homogeneous-DC plan) and
   // ---- sanitize the near-optimal NLP point into a strictly valid plan.

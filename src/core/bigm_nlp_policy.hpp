@@ -29,16 +29,6 @@ class BigMNlpPolicy : public Policy {
     int multistarts = 6;
     std::uint64_t seed = 0x5EEDull;
     AugLagSolver::Options nlp;
-    /// Seed one extra multistart point from the previous slot's solution
-    /// when every arrival rate and price drifted less than
-    /// warm_start_tolerance (relative). Off by default: unlike the
-    /// OptimizedPolicy incumbent bound, a seeded NLP start can *change*
-    /// the returned (near-optimal) point, so plans then depend on which
-    /// slot sequence this instance saw — 1-worker and N-worker
-    /// SlotController runs may legitimately differ. Leave it off where
-    /// bit-reproducibility matters.
-    bool warm_start = false;
-    double warm_start_tolerance = 0.05;
   };
 
   BigMNlpPolicy();
@@ -47,33 +37,21 @@ class BigMNlpPolicy : public Policy {
   const std::string& name() const override { return name_; }
   DispatchPlan plan_slot(const Topology& topology,
                          const SlotInput& input) override;
-  /// Fresh copy with the same options (empty warm cache and counters).
+  /// Fresh copy with the same options; the copy's counters start empty.
   std::unique_ptr<Policy> clone() const override {
     return std::make_unique<BigMNlpPolicy>(options_);
   }
   /// Cumulative counters since construction; nlp_iterations carries the
-  /// inner-minimizer work, warm_start_* the cache behaviour (all zero
-  /// unless Options::warm_start is on).
+  /// inner-minimizer work.
   PolicyStats stats() const override { return totals_; }
 
   /// Total inner NLP iterations spent by the last plan_slot (Fig. 11).
   int inner_iterations() const { return inner_iterations_; }
 
  private:
-  /// Previous slot's solution vector + the inputs it was solved under.
-  struct WarmCache {
-    bool valid = false;
-    std::vector<double> x;
-    std::vector<std::vector<double>> arrival_rate;
-    std::vector<double> price;
-  };
-
-  bool warm_applicable(const SlotInput& input, std::size_t dimension) const;
-
   std::string name_ = "BigM-NLP";
   Options options_;
   int inner_iterations_ = 0;
-  WarmCache cache_;
   PolicyStats totals_;
 };
 

@@ -123,24 +123,32 @@ std::vector<double> RunResult::class_dc_rate_series(std::size_t k,
   return out;
 }
 
+PolicyStats for_each_slot(
+    Policy& policy, std::size_t n, std::size_t workers,
+    const std::function<void(Policy&, std::size_t)>& fn) {
+  const std::size_t resolved = bounded_workers(workers, n);
+  // A policy that cannot clone itself runs serially: same results, one
+  // core.
+  if (resolved <= 1 || policy.clone() == nullptr) {
+    const PolicyStats before = policy.stats();
+    for (std::size_t i = 0; i < n; ++i) fn(policy, i);
+    return policy.stats() - before;
+  }
+  std::vector<PolicyStats> spent(n);
+  ThreadPool pool(resolved);
+  parallel_for(pool, n, [&](std::size_t i) {
+    const std::unique_ptr<Policy> own = policy.clone();
+    fn(*own, i);
+    spent[i] = own->stats();
+  });
+  PolicyStats total;
+  for (const PolicyStats& s : spent) total += s;
+  return total;
+}
+
 SlotController::SlotController(Scenario scenario)
     : scenario_(std::move(scenario)) {
   scenario_.validate();
-}
-
-void SlotController::run_block(Policy& policy, std::size_t block_first,
-                               std::size_t count, RunResult& into,
-                               std::size_t offset) const {
-  for (std::size_t t = 0; t < count; ++t) {
-    const SlotInput input = scenario_.slot_input(block_first + t);
-    DispatchPlan plan = policy.plan_slot(scenario_.topology, input);
-    // Policies self-check, but third-party Policy implementations enter
-    // the run loop here — audit at the hand-off too.
-    check::maybe_check_plan(scenario_.topology, input, plan,
-                            "SlotController");
-    into.slots[offset + t] = evaluate_plan(scenario_.topology, input, plan);
-    into.plans[offset + t] = std::move(plan);
-  }
 }
 
 RunResult SlotController::run(Policy& policy, std::size_t num_slots,
@@ -152,54 +160,20 @@ RunResult SlotController::run(Policy& policy, std::size_t num_slots,
                               std::size_t first_slot,
                               const RunOptions& options) const {
   PALB_REQUIRE(num_slots > 0, "need at least one slot");
-  std::size_t workers = bounded_workers(options.workers, num_slots);
-
-  // Parallel evaluation needs an independent policy per worker; a policy
-  // that cannot clone itself runs serially (same plans, one core).
-  std::vector<std::unique_ptr<Policy>> clones;
-  if (workers > 1) {
-    clones.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      clones.push_back(policy.clone());
-      if (!clones.back()) {
-        clones.clear();
-        workers = 1;
-        break;
-      }
-    }
-  }
-
   RunResult result;
   result.slots.resize(num_slots);
   result.plans.resize(num_slots);
-
-  if (workers <= 1) {
-    const PolicyStats before = policy.stats();
-    run_block(policy, first_slot, num_slots, result, 0);
-    result.stats = policy.stats() - before;
-  } else {
-    // Contiguous blocks, one per worker: slot order inside a block keeps
-    // each clone's warm-start chain intact, and writing through disjoint
-    // [offset, offset+count) windows keeps collection deterministic.
-    const std::size_t base = num_slots / workers;
-    const std::size_t extra = num_slots % workers;
-    std::vector<std::pair<std::size_t, std::size_t>> blocks;  // offset,count
-    std::size_t offset = 0;
-    for (std::size_t w = 0; w < workers; ++w) {
-      const std::size_t count = base + (w < extra ? 1 : 0);
-      blocks.emplace_back(offset, count);
-      offset += count;
-    }
-    ThreadPool pool(workers);
-    parallel_for(pool, workers, [&](std::size_t w) {
-      const auto [block_offset, count] = blocks[w];
-      if (count == 0) return;
-      run_block(*clones[w], first_slot + block_offset, count, result,
-                block_offset);
-    });
-    for (const auto& clone : clones) result.stats += clone->stats();
-  }
-
+  result.stats = for_each_slot(
+      policy, num_slots, options.workers, [&](Policy& p, std::size_t t) {
+        const SlotInput input = scenario_.slot_input(first_slot + t);
+        DispatchPlan plan = p.plan_slot(scenario_.topology, input);
+        // Policies self-check, but third-party Policy implementations
+        // enter the run loop here — audit at the hand-off too.
+        check::maybe_check_plan(scenario_.topology, input, plan,
+                                "SlotController");
+        result.slots[t] = evaluate_plan(scenario_.topology, input, plan);
+        result.plans[t] = std::move(plan);
+      });
   result.total = accumulate(result.slots);
   return result;
 }

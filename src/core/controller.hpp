@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "cloud/accounting.hpp"
@@ -31,9 +32,10 @@ struct RunResult {
   std::vector<SlotMetrics> slots;
   std::vector<DispatchPlan> plans;
   SlotMetrics total;
-  /// Solver-effort counters spent producing the plans (warm-start cache
-  /// hits/misses, profiles swept, LP pivots) — the delta of the policy's
-  /// cumulative PolicyStats across this run, summed over all workers.
+  /// Solver-effort counters spent producing the plans (profiles swept,
+  /// LP pivots, NLP iterations), as for_each_slot returns them: the
+  /// delta of the policy's cumulative PolicyStats on a serial run, the
+  /// sum over the per-slot clones on a parallel one.
   PolicyStats stats;
 
   /// Resilience telemetry, filled by the ResilientController (empty /
@@ -71,16 +73,26 @@ struct RunResult {
                                            std::size_t l) const;
 };
 
+/// The one slot fan-out every controller shares: runs fn(p, i) for i in
+/// [0, n) and returns the PolicyStats spent. When `workers` resolves to
+/// 1 (bounded_workers: 0 = one per hardware thread, capped at n) or
+/// `policy` cannot clone itself (clone() returns nullptr), it runs
+/// serially on `policy` in index order and returns the delta of its
+/// stats. Otherwise each index gets its own Policy::clone() on one
+/// pool and the clones' stats are summed. Slots are independent
+/// optimizations (the paper solves Eqs. 6-8 once per hour with no
+/// carried state) and no cloneable policy carries state between
+/// slots, so fn sees the same policy whichever way the index runs.
+/// Exceptions follow parallel_for's fault contract.
+PolicyStats for_each_slot(Policy& policy, std::size_t n, std::size_t workers,
+                          const std::function<void(Policy&, std::size_t)>& fn);
+
 /// Drives a policy across `num_slots` slots of a scenario.
 class SlotController {
  public:
-  /// How a run fans across cores. Slots are independent optimizations
-  /// (the paper solves Eqs. 6-8 once per hour with no carried state), so
-  /// with `workers > 1` the slot range is split into contiguous blocks,
-  /// one Policy::clone() per worker, each block solved in order so
-  /// warm-start chains stay intact inside it. Results are collected in
-  /// slot order, and every policy's solve is deterministic per
-  /// (topology, input) — plans are byte-identical to the 1-worker run
+  /// How a run fans across cores: every slot goes through for_each_slot,
+  /// and every policy's solve is deterministic per (topology, input), so
+  /// plans are byte-identical to the 1-worker run
   /// (tests/test_parallel_determinism.cpp holds all 16 paper scenarios
   /// to that under TSan).
   struct RunOptions {
@@ -99,10 +111,6 @@ class SlotController {
                 std::size_t first_slot, const RunOptions& options) const;
 
  private:
-  /// One worker's contiguous block [block_first, block_first + count).
-  void run_block(Policy& policy, std::size_t block_first, std::size_t count,
-                 RunResult& into, std::size_t offset) const;
-
   Scenario scenario_;
 };
 

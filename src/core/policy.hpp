@@ -15,16 +15,16 @@
 namespace palb {
 
 /// Cumulative solver-effort counters a policy has spent since it was
-/// constructed (or cloned). The SlotController reads the delta across a
-/// run and surfaces it in RunResult, so week-scale benches can report
-/// LP pivots, profile sweeps and warm-start cache behaviour without
-/// knowing the concrete policy type. Fields a policy does not track
-/// simply stay zero.
+/// constructed (or cloned). for_each_slot reads what a run spent and the
+/// controllers surface it in RunResult, so week-scale benches can report
+/// LP pivots and profile sweeps without knowing the concrete policy
+/// type. Fields a policy does not track simply stay zero.
 struct PolicyStats {
-  /// Slots whose solve was seeded from the previous slot's solution
-  /// (inputs drifted less than the warm-start tolerance).
+  /// Slots served from (hits) or solved without (misses) a cross-slot
+  /// warm-start cache: always 0 and written by nothing, since no policy
+  /// carries state between slots. Kept because the palb-bench-v1 report
+  /// and the e2e harness read them.
   std::uint64_t warm_start_hits = 0;
-  /// Slots solved cold (no cache, or the inputs moved too much).
   std::uint64_t warm_start_misses = 0;
   /// TUF band profiles LP-solved or found structurally infeasible by
   /// enumeration / local search.
@@ -42,8 +42,7 @@ struct PolicyStats {
   /// start, or a warm basis that landed in-bounds).
   std::uint64_t phase1_skips = 0;
   /// LP solves that accepted a caller-supplied starting basis (the
-  /// basis-level warm start, distinct from the profile-level cache
-  /// behind warm_start_hits).
+  /// basis-level warm start inside one slot's search).
   std::uint64_t basis_warm_hits = 0;
   /// Dense column updates the simplex's support-walking pivot kernel
   /// skipped (work avoided relative to the dense kernel).
@@ -80,8 +79,7 @@ struct PolicyStats {
     d.sparse_price_skips = sparse_price_skips - other.sparse_price_skips;
     return d;
   }
-  /// Fraction of slots served from the warm-start cache (0 when the
-  /// policy never attempted one).
+  /// warm_start_hits over hits + misses: always 0, like its inputs.
   double cache_hit_rate() const {
     const std::uint64_t attempts = warm_start_hits + warm_start_misses;
     return attempts == 0
@@ -103,19 +101,21 @@ class Policy {
   virtual DispatchPlan plan_slot(const Topology& topology,
                                  const SlotInput& input) = 0;
 
-  /// Independent copy carrying the same configuration (warm-start caches
-  /// and other per-run state start fresh on the copy's own chain). The
-  /// parallel SlotController gives each worker its own clone; a policy
-  /// returning nullptr (the default) opts out of parallel evaluation and
-  /// the controller falls back to the serial path.
+  /// Independent copy carrying the same configuration, with counters
+  /// that start at zero. A policy that can clone carries no state from
+  /// one slot to the next, so a clone plans any slot exactly as this
+  /// instance would. for_each_slot gives every slot its own clone and
+  /// calls clone() from its worker threads, so clone() must only read
+  /// this policy. A policy returning nullptr (the default), such as one
+  /// that does carry state between slots, opts out of parallel
+  /// evaluation and runs serially.
   virtual std::unique_ptr<Policy> clone() const { return nullptr; }
 
   /// Reduced-effort variant for the ResilientController's rung-2
   /// re-solve after the full solve fails: same objective, but bounded
-  /// work per slot (e.g. a small pivot budget, no warm-start state) so
-  /// it terminates quickly and deterministically. nullptr (the default)
-  /// means the policy has no cheaper mode and the ladder skips straight
-  /// to rung 3.
+  /// work per slot (e.g. a small pivot budget) so it terminates quickly
+  /// and deterministically. nullptr (the default) means the policy has
+  /// no cheaper mode and the ladder skips straight to rung 3.
   virtual std::unique_ptr<Policy> degraded() const { return nullptr; }
 
   /// Installs a cooperative cancellation token (not owned; nullptr

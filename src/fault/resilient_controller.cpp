@@ -10,7 +10,6 @@
 #include "cloud/accounting.hpp"
 #include "core/balanced_policy.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace palb {
 
@@ -30,11 +29,35 @@ const char* to_string(FallbackRung rung) {
   return "unknown";
 }
 
+std::optional<PlanRepairReport> accept_candidate(const PlanChecker& checker,
+                                                 const FaultedSlot& world,
+                                                 const SlotInput& input,
+                                                 DispatchPlan candidate) {
+  if (world.has_blocked_link) {
+    const std::size_t K = world.topology.num_classes();
+    const std::size_t S = world.topology.num_frontends();
+    const std::size_t L = world.topology.num_datacenters();
+    for (std::size_t k = 0; k < K; ++k) {
+      for (std::size_t s = 0; s < S; ++s) {
+        for (std::size_t l = 0; l < L; ++l) {
+          if (world.blocked(s, l)) candidate.rate[k][s][l] = 0.0;
+        }
+      }
+    }
+  }
+  PlanRepairReport repaired =
+      checker.repair(world.topology, input, std::move(candidate));
+  if (!checker.check(world.topology, input, repaired.plan).ok()) {
+    return std::nullopt;
+  }
+  return repaired;
+}
+
 namespace {
 
 /// Per-slot output of the parallel candidate phase. Everything the
 /// serial ladder needs, computed from (scenario, schedule, slot) and the
-/// worker clone alone.
+/// slot's policy alone.
 struct SlotCandidates {
   FaultedSlot world;
   std::optional<DispatchPlan> full;      ///< rung 1, absent if it failed
@@ -42,22 +65,22 @@ struct SlotCandidates {
   PolicyStats degraded_stats;
 };
 
-/// Zeroes every flow routed over a cut front-end<->DC link. The only
-/// fault repair() cannot see on its own: a blocked link is feasible by
-/// the plan constraints, just unusable this slot.
-void project_off_cut_links(const FaultedSlot& world, DispatchPlan& plan) {
-  if (!world.has_blocked_link) return;
-  const std::size_t K = world.topology.num_classes();
-  const std::size_t S = world.topology.num_frontends();
-  const std::size_t L = world.topology.num_datacenters();
-  for (std::size_t k = 0; k < K; ++k) {
-    for (std::size_t s = 0; s < S; ++s) {
-      for (std::size_t l = 0; l < L; ++l) {
-        if (world.blocked(s, l)) plan.rate[k][s][l] = 0.0;
-      }
-    }
+/// Installs a cancel token on a policy for one scope and uninstalls it
+/// on every exit path: the token may live on the caller's stack
+/// (AsyncPlanner's solve thread), so the policy must not keep it.
+class ScopedCancel {
+ public:
+  ScopedCancel(Policy& policy, const std::atomic<bool>* cancel)
+      : policy_(policy) {
+    policy_.set_cancel(cancel);
   }
-}
+  ~ScopedCancel() { policy_.set_cancel(nullptr); }
+  ScopedCancel(const ScopedCancel&) = delete;
+  ScopedCancel& operator=(const ScopedCancel&) = delete;
+
+ private:
+  Policy& policy_;
+};
 
 SlotCandidates solve_candidates(const Scenario& scenario,
                                 const FaultSchedule& schedule,
@@ -82,8 +105,7 @@ SlotCandidates solve_candidates(const Scenario& scenario,
       static_cast<int>(max_effort) <=
           static_cast<int>(FallbackRung::kReducedResolve)) {
     // Rung 2: bounded re-solve on a *fresh* degraded instance, so the
-    // candidate depends only on (topology, input) — never on which
-    // other slots in this worker's block failed.
+    // candidate depends only on (topology, input).
     if (std::unique_ptr<Policy> cheap = policy.degraded()) {
       try {
         out.degraded = cheap->plan_slot(out.world.topology, out.world.input);
@@ -114,59 +136,20 @@ RunResult ResilientController::run(Policy& policy, std::size_t num_slots,
                                    std::size_t first_slot,
                                    const Options& options) const {
   PALB_REQUIRE(num_slots > 0, "need at least one slot");
-  std::size_t workers = bounded_workers(options.workers, num_slots);
 
-  // Install the watchdog's cancellation token before any clone is made
-  // so the whole candidate phase shares it (clone() copies it; a no-op
-  // for policies that ignore set_cancel).
-  policy.set_cancel(options.cancel);
-
-  // ---- Phase A: candidate solves, SlotController's exact block layout
-  // (contiguous slot blocks, one clone per worker, serial inside a block
-  // so warm-start chains stay intact).
+  // ---- Phase A: candidate solves, one slot fan-out. The watchdog's
+  // cancellation token is installed before any clone is made so the
+  // whole phase shares it (clone() copies it; a no-op for policies that
+  // ignore set_cancel).
   std::vector<SlotCandidates> slots(num_slots);
-  std::vector<std::unique_ptr<Policy>> clones;
-  if (workers > 1) {
-    clones.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      clones.push_back(policy.clone());
-      if (!clones.back()) {
-        clones.clear();
-        workers = 1;
-        break;
-      }
-    }
-  }
-
   RunResult result;
-  if (workers <= 1) {
-    const PolicyStats before = policy.stats();
-    for (std::size_t t = 0; t < num_slots; ++t) {
-      slots[t] = solve_candidates(scenario_, schedule_, first_slot + t,
-                                  policy, options.max_effort);
-    }
-    result.stats = policy.stats() - before;
-  } else {
-    const std::size_t base = num_slots / workers;
-    const std::size_t extra = num_slots % workers;
-    std::vector<std::pair<std::size_t, std::size_t>> blocks;  // offset,count
-    std::size_t offset = 0;
-    for (std::size_t w = 0; w < workers; ++w) {
-      const std::size_t count = base + (w < extra ? 1 : 0);
-      blocks.emplace_back(offset, count);
-      offset += count;
-    }
-    ThreadPool pool(workers);
-    parallel_for(pool, workers, [&](std::size_t w) {
-      const auto [block_offset, count] = blocks[w];
-      for (std::size_t t = 0; t < count; ++t) {
-        const std::size_t index = block_offset + t;
-        slots[index] = solve_candidates(scenario_, schedule_,
-                                        first_slot + index, *clones[w],
-                                        options.max_effort);
-      }
-    });
-    for (const auto& clone : clones) result.stats += clone->stats();
+  {
+    const ScopedCancel scoped_cancel(policy, options.cancel);
+    result.stats = for_each_slot(
+        policy, num_slots, options.workers, [&](Policy& p, std::size_t t) {
+          slots[t] = solve_candidates(scenario_, schedule_, first_slot + t,
+                                      p, options.max_effort);
+        });
   }
   for (const auto& slot : slots) result.stats += slot.degraded_stats;
 
@@ -192,20 +175,17 @@ RunResult ResilientController::run(Policy& policy, std::size_t num_slots,
     SlotCandidates& slot = slots[t];
     const FaultedSlot& world = slot.world;
 
-    // Accepts `candidate` if its projected + repaired form audits clean;
-    // fills the slot's record and returns true.
+    // Applies `candidate` if accept_candidate() passes it; fills the
+    // slot's record and returns true.
     const auto try_rung = [&](FallbackRung rung, DispatchPlan candidate) {
-      project_off_cut_links(world, candidate);
-      PlanRepairReport repaired =
-          checker.repair(world.topology, world.input, std::move(candidate));
-      if (!checker.check(world.topology, world.input, repaired.plan).ok()) {
-        return false;
-      }
+      std::optional<PlanRepairReport> repaired = accept_candidate(
+          checker, world, world.input, std::move(candidate));
+      if (!repaired) return false;
       result.fallback_rungs[t] = static_cast<int>(rung);
-      result.repair_adjustments[t] = repaired.adjustments();
+      result.repair_adjustments[t] = repaired->adjustments();
       result.slots[t] =
-          evaluate_plan(world.topology, world.input, repaired.plan);
-      result.plans[t] = std::move(repaired.plan);
+          evaluate_plan(world.topology, world.input, repaired->plan);
+      result.plans[t] = std::move(repaired->plan);
       return true;
     };
 

@@ -2,7 +2,7 @@
 
 #include <atomic>
 #include <cstddef>
-#include <memory>
+#include <optional>
 
 #include "check/plan_checker.hpp"
 #include "core/controller.hpp"
@@ -27,23 +27,34 @@ enum class FallbackRung : int {
 /// bench JSON; never reworded once released.
 const char* to_string(FallbackRung rung);
 
+/// One fallback-ladder rung's acceptance step, shared by the
+/// ResilientController and ClosedLoopSimulator's in-loop ladder. Zeroes
+/// every flow `candidate` routes over a cut front-end<->DC link (the one
+/// fault repair() cannot see: a blocked link is feasible by the plan
+/// constraints, just unusable this slot), pushes the result through
+/// checker.repair(), and returns the repaired plan if it passes
+/// checker.check() against the surviving topology and `input`;
+/// std::nullopt otherwise.
+std::optional<PlanRepairReport> accept_candidate(const PlanChecker& checker,
+                                                 const FaultedSlot& world,
+                                                 const SlotInput& input,
+                                                 DispatchPlan candidate);
+
 /// SlotController's fault-tolerant sibling: drives a policy across a
 /// scenario perturbed by a FaultSchedule, and guarantees every slot an
 /// applied plan that passes PlanChecker::check() against the slot's
 /// *surviving* world — even when inputs are corrupted, data centers go
 /// dark, or the solver itself fails. Each slot walks the fallback
-/// ladder (FallbackRung); every rung's candidate is projected off cut
-/// links and pushed through PlanChecker::repair() before the first one
-/// that audits clean is applied. RunResult::fallback_rungs /
+/// ladder (FallbackRung), and the first rung whose candidate
+/// accept_candidate() passes is applied. RunResult::fallback_rungs /
 /// repair_adjustments / faulted_slots record what happened.
 ///
-/// Determinism: candidate solves fan across workers in the exact
-/// SlotController block layout (one Policy::clone() per worker,
-/// contiguous slot blocks), rung-2 re-solves use a fresh
+/// Determinism: candidate solves fan out through for_each_slot (one
+/// Policy::clone() per slot), rung-2 re-solves use a fresh
 /// Policy::degraded() instance per failed slot, and the ladder itself
 /// runs serially in slot order — so fault-injected runs stay
-/// byte-identical across worker counts (the PR 2 guarantee;
-/// tests/test_parallel_determinism.cpp holds it under faults too).
+/// byte-identical across worker counts
+/// (tests/test_parallel_determinism.cpp holds it under faults too).
 class ResilientController {
  public:
   struct Options {
@@ -65,8 +76,9 @@ class ResilientController {
     /// plan while the run is still in flight (docs/SERVING.md).
     PlanHandle* live = nullptr;
     /// Cooperative cancellation token (not owned; may be nullptr),
-    /// installed on `policy` via Policy::set_cancel() before the
-    /// candidate phase so clones inherit it. Once it reads true,
+    /// installed on `policy` via Policy::set_cancel() for the candidate
+    /// phase so clones inherit it, and uninstalled (set_cancel(nullptr))
+    /// when that phase ends, however it ends. Once it reads true,
     /// in-flight full solves abort (SolveCancelled) and the ladder
     /// serves those slots from its cheaper rungs — the AsyncPlanner
     /// watchdog's deadline lever (docs/OVERLOAD.md).

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <deque>
-#include <memory>
+#include <optional>
 #include <queue>
 
 #include "check/plan_checker.hpp"
 #include "fault/resilient_controller.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace palb {
 
@@ -185,29 +184,18 @@ ClosedLoopResult ClosedLoopSimulator::run(const Scenario& scenario,
       return next_plan;
     }
     // In-loop fallback ladder {1 policy, 3 previous plan, 5 shed-all}:
-    // every candidate is projected off cut links and repaired, and the
-    // first one that audits clean against the surviving world is used.
+    // the first candidate accept_candidate() passes against the
+    // surviving world and the planning input is used.
     DispatchPlan next = DispatchPlan::zero(world.topology);
     int rung = static_cast<int>(FallbackRung::kShedAll);
     std::size_t repairs = 0;
     const auto accept = [&](DispatchPlan cand, FallbackRung r) {
-      if (world.has_blocked_link) {
-        for (std::size_t k = 0; k < K; ++k) {
-          for (std::size_t s = 0; s < S; ++s) {
-            for (std::size_t l = 0; l < L; ++l) {
-              if (world.blocked(s, l)) cand.rate[k][s][l] = 0.0;
-            }
-          }
-        }
-      }
-      PlanRepairReport rep =
-          repair_checker.repair(world.topology, input, std::move(cand));
-      if (!repair_checker.check(world.topology, input, rep.plan).ok()) {
-        return false;
-      }
-      next = std::move(rep.plan);
+      std::optional<PlanRepairReport> rep =
+          accept_candidate(repair_checker, world, input, std::move(cand));
+      if (!rep) return false;
+      next = std::move(rep->plan);
       rung = static_cast<int>(r);
-      repairs = rep.adjustments();
+      repairs = rep->adjustments();
       return true;
     };
     bool applied = false;
@@ -399,33 +387,12 @@ std::vector<ClosedLoopResult> ClosedLoopSimulator::run_replications(
   for (auto& s : seeds) s = mix.next();
 
   std::vector<ClosedLoopResult> results(replications);
-  const auto run_one = [&](std::size_t r, Policy& p) {
+  for_each_slot(policy, replications, workers, [&](Policy& p, std::size_t r) {
     Options opts = options_;
     opts.seed = seeds[r];
     ClosedLoopSimulator sim(opts);
     results[r] = sim.run(scenario, p, num_slots, first_slot);
-  };
-
-  const std::size_t resolved = bounded_workers(workers, replications);
-  std::vector<std::unique_ptr<Policy>> clones;
-  if (resolved > 1) {
-    clones.reserve(replications);
-    for (std::size_t r = 0; r < replications; ++r) {
-      clones.push_back(policy.clone());
-      if (!clones.back()) {
-        clones.clear();  // cannot clone: fall back to the serial path
-        break;
-      }
-    }
-  }
-
-  if (clones.empty()) {
-    for (std::size_t r = 0; r < replications; ++r) run_one(r, policy);
-  } else {
-    ThreadPool pool(resolved);
-    parallel_for(pool, replications,
-                 [&](std::size_t r) { run_one(r, *clones[r]); });
-  }
+  });
   return results;
 }
 

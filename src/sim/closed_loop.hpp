@@ -101,12 +101,13 @@ class ClosedLoopSimulator {
                        std::size_t num_slots, std::size_t first_slot = 0);
 
   /// Runs `replications` statistically independent simulations of the
-  /// same horizon, fanned across `workers` threads (0 = one per hardware
-  /// thread, capped at the replication count). Replication r simulates
-  /// with a SplitMix64-mixed seed derived from (Options::seed, r) and
-  /// its own Policy::clone(), so results are identical for every worker
-  /// count. A policy that cannot clone (nullptr) runs every replication
-  /// serially on the caller's instance instead.
+  /// same horizon through for_each_slot, fanned across `workers` threads
+  /// (0 = one per hardware thread, capped at the replication count).
+  /// Replication r simulates with a SplitMix64-mixed seed derived from
+  /// (Options::seed, r) and its own Policy::clone(), so results are
+  /// identical for every worker count. A policy that cannot clone
+  /// (nullptr) runs every replication serially on the caller's instance
+  /// instead.
   std::vector<ClosedLoopResult> run_replications(const Scenario& scenario,
                                                  Policy& policy,
                                                  std::size_t num_slots,

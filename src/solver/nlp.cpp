@@ -240,16 +240,13 @@ NlpResult AugLagSolver::solve(const NlpProblem& problem,
 
 NlpResult AugLagSolver::solve_multistart(
     const NlpProblem& problem, const std::vector<double>& x0, int starts,
-    Rng rng, const std::vector<double>* warm_start) const {
+    Rng rng) const {
   problem.validate();
   PALB_REQUIRE(starts >= 1, "multistart needs at least one start");
 
   // Build the start points up front so the parallel section is pure.
   std::vector<std::vector<double>> points;
   points.push_back(x0);
-  if (warm_start != nullptr && warm_start->size() == problem.dimension) {
-    points.push_back(*warm_start);
-  }
   for (int s = 1; s < starts; ++s) {
     std::vector<double> p(problem.dimension);
     Rng stream = rng.substream(static_cast<std::uint64_t>(s));

@@ -75,16 +75,9 @@ class AugLagSolver {
   /// x0) and returns the best feasible result, or the least-infeasible one
   /// if none converged. The multi-start loop is embarrassingly parallel and
   /// fans across a thread pool.
-  ///
-  /// `warm_start`, when non-null and of matching dimension, adds one more
-  /// start point (typically the previous slot's solution) competing on
-  /// equal footing with the random starts; exact ties keep the earlier
-  /// point, so passing a warm point never degrades the result.
   NlpResult solve_multistart(const NlpProblem& problem,
                              const std::vector<double>& x0, int starts,
-                             Rng rng,
-                             const std::vector<double>* warm_start =
-                                 nullptr) const;
+                             Rng rng) const;
 
  private:
   Options options_;

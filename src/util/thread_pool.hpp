@@ -92,39 +92,9 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
 /// Worker count actually worth spawning for `jobs` independent jobs:
 /// min(requested, jobs), floored at 1. `requested == 0` resolves to
-/// std::thread::hardware_concurrency() first. Every bulk fan-out
-/// (SlotController, the benches, the replication APIs) sizes its pool
-/// through this so a 1-slot run never pays for idle workers.
+/// std::thread::hardware_concurrency() first. for_each_slot and the
+/// transient parallel_for size their pools through this so a 1-slot run
+/// never pays for idle workers.
 std::size_t bounded_workers(std::size_t requested, std::size_t jobs);
-
-/// Deterministic-ordering bulk collector: runs fn(i) for i in [0, n)
-/// across the pool and returns {fn(0), fn(1), ..., fn(n-1)} in *index*
-/// order regardless of completion order — the parallel result is
-/// byte-identical to the serial loop's. Exceptions follow parallel_for's
-/// fault contract (all workers drain, then the lowest-index failure
-/// rethrows). R must be default-constructible.
-template <typename R>
-std::vector<R> parallel_collect(ThreadPool& pool, std::size_t n,
-                                const std::function<R(std::size_t)>& fn) {
-  std::vector<R> out(n);
-  parallel_for(pool, n, [&](std::size_t i) { out[i] = fn(i); });
-  return out;
-}
-
-/// Transient-pool overload; `workers` is clamped via bounded_workers.
-/// With a resolved worker count of 1 the loop runs inline on the calling
-/// thread (no pool is constructed at all).
-template <typename R>
-std::vector<R> parallel_collect(std::size_t workers, std::size_t n,
-                                const std::function<R(std::size_t)>& fn) {
-  const std::size_t resolved = bounded_workers(workers, n);
-  if (resolved <= 1) {
-    std::vector<R> out(n);
-    for (std::size_t i = 0; i < n; ++i) out[i] = fn(i);
-    return out;
-  }
-  ThreadPool pool(resolved);
-  return parallel_collect<R>(pool, n, fn);
-}
 
 }  // namespace palb

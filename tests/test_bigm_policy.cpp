@@ -5,7 +5,10 @@
 #include "util/error.hpp"
 
 #include "cloud/accounting.hpp"
+#include "core/controller.hpp"
 #include "core/optimized_policy.hpp"
+#include "core/paper_scenarios.hpp"
+#include "core/plan_json.hpp"
 #include "scenario_fixtures.hpp"
 
 namespace palb {
@@ -84,6 +87,24 @@ TEST(BigMNlpPolicy, DeterministicUnderFixedSeed) {
   const double pb =
       evaluate_plan(topo, input, b.plan_slot(topo, input)).net_profit();
   EXPECT_DOUBLE_EQ(pa, pb);
+}
+
+TEST(BigMNlpPolicy, PlansAndStatsMatchAcrossWorkerCounts) {
+  // No state crosses slots, so a per-slot clone plans every slot exactly
+  // as the serial instance does, and the counters sum to the same totals.
+  BigMNlpPolicy::Options opt;
+  opt.multistarts = 2;
+  opt.nlp.max_outer = 6;
+  opt.nlp.max_inner = 60;
+  const SlotController controller(
+      paper::basic_synthetic(paper::ArrivalSet::kLow));
+  BigMNlpPolicy serial_policy(opt), wide_policy(opt);
+  const RunResult serial = controller.run(serial_policy, 3, 0, {.workers = 1});
+  const RunResult wide = controller.run(wide_policy, 3, 0, {.workers = 3});
+  EXPECT_EQ(plan_json::run_to_json(serial).dump(2),
+            plan_json::run_to_json(wide).dump(2));
+  EXPECT_GT(serial.stats.nlp_iterations, 0u);
+  EXPECT_TRUE(serial.stats == wide.stats);
 }
 
 TEST(BigMNlpPolicy, OptionValidation) {

@@ -4,7 +4,8 @@
 // within the TTL, decisions byte-identical across driver thread counts
 // — and two identical chaos runs agree bit for bit. The AsyncPlanner
 // watchdog: an impossible deadline expires, retries descend the effort
-// ladder, and every slot still ends with an applied, audited plan.
+// ladder, every slot still ends with an applied, audited plan, and the
+// watchdog's cancel token never outlives its job on the policy.
 
 #include "serve/chaos.hpp"
 
@@ -18,8 +19,10 @@
 #include <thread>
 
 #include "core/balanced_policy.hpp"
+#include "core/optimized_policy.hpp"
 #include "core/paper_scenarios.hpp"
 #include "core/plan_handle.hpp"
+#include "core/plan_json.hpp"
 #include "core/policy.hpp"
 #include "fault/fault.hpp"
 #include "fault/resilient_controller.hpp"
@@ -162,6 +165,65 @@ TEST(Watchdog, ImpossibleDeadlineDegradesButEverySlotStillPlans) {
     EXPECT_GE(rung, static_cast<int>(FallbackRung::kPreviousPlan));
   }
   EXPECT_GT(live.version(), 0u);
+}
+
+/// Plans like BalancedPolicy and records the cancel token installed on
+/// it, and whether one was installed while it planned.
+class RecordsCancelPolicy : public Policy {
+ public:
+  const std::string& name() const override { return name_; }
+  DispatchPlan plan_slot(const Topology& topology,
+                         const SlotInput& input) override {
+    if (cancel_ != nullptr) saw_token_ = true;
+    return inner_.plan_slot(topology, input);
+  }
+  void set_cancel(const std::atomic<bool>* cancel) override {
+    cancel_ = cancel;
+  }
+  const std::atomic<bool>* cancel() const { return cancel_; }
+  bool saw_token() const { return saw_token_; }
+
+ private:
+  std::string name_ = "RecordsCancel";
+  BalancedPolicy inner_;
+  const std::atomic<bool>* cancel_ = nullptr;
+  bool saw_token_ = false;
+};
+
+/// A planner whose watchdog arms a token on its solve thread's stack for
+/// every job but never fires within a test.
+AsyncPlanner::Options generous_deadline() {
+  AsyncPlanner::Options options;
+  options.watchdog.solve_deadline_seconds = 30.0;
+  return options;
+}
+
+TEST(Watchdog, CancelTokenIsUninstalledAfterTheJob) {
+  // The token dies with the job's stack frame, so the policy must not
+  // hold it once the job is done.
+  const Scenario sc = paper::basic_synthetic(paper::ArrivalSet::kLow);
+  PlanHandle live;
+  AsyncPlanner planner(sc, FaultSchedule{}, live, generous_deadline());
+  RecordsCancelPolicy policy;
+  const RunResult run = planner.solve_async(policy, 1).get();
+  ASSERT_EQ(run.plans.size(), 1u);
+  EXPECT_TRUE(policy.saw_token());
+  EXPECT_EQ(policy.cancel(), nullptr);
+}
+
+TEST(Watchdog, PolicyPlansDirectlyAfterAWatchdogJob) {
+  // A direct plan_slot after a watchdog job must not poll the finished
+  // job's token (a stack-use-after-return under ASan) and must plan as
+  // a fresh policy does.
+  const Scenario sc = paper::basic_synthetic(paper::ArrivalSet::kLow);
+  PlanHandle live;
+  AsyncPlanner planner(sc, FaultSchedule{}, live, generous_deadline());
+  OptimizedPolicy policy;
+  (void)planner.solve_async(policy, 1).get();
+  const SlotInput input = sc.slot_input(0);
+  OptimizedPolicy fresh;
+  EXPECT_EQ(plan_json::to_json(policy.plan_slot(sc.topology, input)).dump(),
+            plan_json::to_json(fresh.plan_slot(sc.topology, input)).dump());
 }
 
 TEST(Watchdog, DisabledWatchdogRunsCleanly) {

@@ -1,8 +1,10 @@
-// The SlotController's parallel-run contract: for any worker count, the
+// The slot fan-out's parallel-run contract: for any worker count, the
 // plans (and therefore the ledger) are byte-identical to the 1-worker
 // run. 16 scenarios — the four built-ins plus twelve generated worlds —
-// each serialized via plan_json and compared as strings. The tsan preset
-// runs this suite to certify the pipeline data-race-free.
+// each serialized via plan_json and compared as strings; the resilient
+// ladder and the closed-loop replications are held to the same
+// contract. The tsan preset runs this suite to certify the pipeline
+// data-race-free.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +22,7 @@
 #include "core/simple_policies.hpp"
 #include "fault/fault.hpp"
 #include "fault/resilient_controller.hpp"
+#include "sim/closed_loop.hpp"
 
 namespace palb {
 namespace {
@@ -137,9 +140,9 @@ TEST(ParallelDeterminism, UncloneablePolicyFallsBackToSerial) {
 }
 
 TEST(ParallelDeterminism, StatsAggregateAcrossWorkers) {
-  // Parallel runs must surface the summed solver counters of all worker
-  // clones. A slot's search carries no state from earlier slots, so no
-  // counter depends on block boundaries: every field matches.
+  // Parallel runs must surface the summed solver counters of all the
+  // per-slot clones. A slot's search carries no state from earlier
+  // slots, so every field matches the serial run.
   const Scenario sc = paper::google_study();
   const SlotController controller(sc);
   OptimizedPolicy a, b;
@@ -200,6 +203,38 @@ TEST(ParallelDeterminism, CannedScheduleMatchesAcrossWorkerCounts) {
   EXPECT_EQ(plans_fingerprint(serial), plans_fingerprint(wide));
   EXPECT_EQ(serial.fallback_rungs, wide.fallback_rungs);
   EXPECT_EQ(serial.repair_adjustments, wide.repair_adjustments);
+}
+
+TEST(ParallelDeterminism, ClosedLoopReplicationsMatchAcrossWorkerCounts) {
+  // run_replications fans out through the same slot fan-out: replication
+  // r's sample path depends only on its seed, never on which worker (or
+  // which clone) simulated it.
+  Scenario sc = paper::basic_synthetic(paper::ArrivalSet::kLow);
+  sc.slot_seconds = 60.0;
+  ClosedLoopSimulator::Options opt;
+  opt.seed = 11;
+  OptimizedPolicy serial_policy, wide_policy;
+  const std::vector<ClosedLoopResult> serial =
+      ClosedLoopSimulator(opt).run_replications(sc, serial_policy, 2, 3, 1);
+  const std::vector<ClosedLoopResult> wide =
+      ClosedLoopSimulator(opt).run_replications(sc, wide_policy, 2, 3, 3);
+  ASSERT_EQ(serial.size(), 3u);
+  ASSERT_EQ(wide.size(), 3u);
+  for (std::size_t r = 0; r < serial.size(); ++r) {
+    EXPECT_EQ(serial[r].total_profit(), wide[r].total_profit()) << r;
+    EXPECT_EQ(serial[r].stranded, wide[r].stranded) << r;
+    ASSERT_EQ(serial[r].slots.size(), 2u);
+    ASSERT_EQ(wide[r].slots.size(), 2u);
+    for (std::size_t t = 0; t < serial[r].slots.size(); ++t) {
+      EXPECT_EQ(serial[r].slots[t].arrivals, wide[r].slots[t].arrivals)
+          << r << "/" << t;
+      EXPECT_EQ(serial[r].slots[t].completions,
+                wide[r].slots[t].completions)
+          << r << "/" << t;
+    }
+  }
+  // Distinct seeds, distinct sample paths.
+  EXPECT_NE(serial[0].total_profit(), serial[1].total_profit());
 }
 
 }  // namespace

@@ -165,39 +165,6 @@ TEST(BoundedWorkers, ZeroRequestsHardwareConcurrency) {
             std::max<std::size_t>(1, std::thread::hardware_concurrency()));
 }
 
-TEST(ParallelCollect, ResultsInIndexOrder) {
-  ThreadPool pool(4);
-  const std::vector<int> out = parallel_collect<int>(
-      pool, 100, [](std::size_t i) { return static_cast<int>(i * i); });
-  ASSERT_EQ(out.size(), 100u);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i], static_cast<int>(i * i));
-  }
-}
-
-TEST(ParallelCollect, TransientMatchesSerialAndSingleWorker) {
-  const auto fn = [](std::size_t i) {
-    return static_cast<double>(i) * 0.5 - 3.0;
-  };
-  const std::vector<double> one = parallel_collect<double>(1, 64, fn);
-  const std::vector<double> many = parallel_collect<double>(4, 64, fn);
-  EXPECT_EQ(one, many);
-}
-
-TEST(ParallelCollect, ZeroItemsGivesEmpty) {
-  EXPECT_TRUE(parallel_collect<int>(3, 0, [](std::size_t) { return 1; })
-                  .empty());
-}
-
-TEST(ParallelCollect, MovableNonTrivialResults) {
-  ThreadPool pool(3);
-  const std::vector<std::string> out = parallel_collect<std::string>(
-      pool, 9, [](std::size_t i) { return std::string(i, 'x'); });
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].size(), i);
-  }
-}
-
 TEST(ParallelFor, LowestIndexExceptionWinsDeterministically) {
   ThreadPool pool(8);
   // Several iterations throw; whichever thread finishes first, the
@@ -217,11 +184,11 @@ TEST(ParallelFor, LowestIndexExceptionWinsDeterministically) {
   }
 }
 
-TEST(ParallelCollect, RandomThrowingSubsetDrainsAndRethrows) {
-  // The ISSUE's ThreadPool fault path, run under the tsan preset: a
-  // random subset of tasks throwing must never terminate() or deadlock,
-  // every non-throwing task must still have executed (workers drain),
-  // and the caller gets the first (lowest-index) exception.
+TEST(ParallelFor, RandomThrowingSubsetDrainsAndRethrows) {
+  // The ThreadPool fault path, run under the tsan preset: a random
+  // subset of tasks throwing must never terminate() or deadlock, every
+  // non-throwing task must still have executed (workers drain), and the
+  // caller gets the first (lowest-index) exception.
   std::mt19937_64 rng(1234);
   ThreadPool pool(8);
   for (int round = 0; round < 25; ++round) {
@@ -236,12 +203,11 @@ TEST(ParallelCollect, RandomThrowingSubsetDrainsAndRethrows) {
     }
     std::atomic<std::size_t> executed{0};
     try {
-      (void)parallel_collect<int>(pool, n, [&](std::size_t i) -> int {
+      parallel_for(pool, n, [&](std::size_t i) {
         ++executed;
         if (throws[i]) {
           throw NumericalError("task " + std::to_string(i));
         }
-        return static_cast<int>(i);
       });
       EXPECT_EQ(first_thrower, n) << "round " << round;
     } catch (const NumericalError& e) {

@@ -29,9 +29,9 @@
 //           "simplex_pivots": 9021,   // alias of lp_iterations
 //           "phase1_skips": 1490,     // solves that needed no phase 1
 //           "basis_warm_hits": 1433,  // solves that accepted a warm basis
-//           "warm_start_hits": 20,
-//           "warm_start_misses": 4,
-//           "cache_hit_rate": 0.8333
+//           "warm_start_hits": 0,     // no policy keeps a cross-slot
+//           "warm_start_misses": 0,   // cache, so these three are
+//           "cache_hit_rate": 0       // always 0
 //         }                          // parallel arm's counters
 //       }, ...
 //     ]

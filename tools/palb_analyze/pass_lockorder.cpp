@@ -47,10 +47,10 @@ struct Edge {
 // Blocking in call position (`submit(...)`, `cv.wait(mu)`, ...).
 bool blocking_call(const std::string& name) {
   static const std::set<std::string> kCalls = {
-      "submit",     "parallel_collect", "run_replications", "wait",
-      "wait_for",   "wait_until",       "join",             "sleep_for",
-      "sleep_until", "getline",         "fopen",            "fread",
-      "fwrite",     "system",           "popen",            "flush",
+      "submit",     "for_each_slot", "run_replications", "wait",
+      "wait_for",   "wait_until",    "join",             "sleep_for",
+      "sleep_until", "getline",      "fopen",            "fread",
+      "fwrite",     "system",        "popen",            "flush",
   };
   return kCalls.count(name) != 0;
 }
