@@ -142,7 +142,8 @@ int main(int argc, char** argv) {
   result.stale_plan_ttl_slots = kTtlSlots;
   result.stalled_routes = canned.stalled_routes;
   result.decisions_identical = canned.decisions_identical;
-  result.thread_counts = {1, 2, 4};
+  result.thread_counts.assign(serve::kChaosThreadCounts.begin(),
+                              serve::kChaosThreadCounts.end());
   result.timed_qps = canned.timed_qps;
   result.p50_ns = canned.p50_ns;
   result.p99_ns = canned.p99_ns;

@@ -67,6 +67,10 @@ std::string PlanCheckReport::summary(std::size_t max_lines) const {
 
 namespace {
 
+/// Relative slack on the Eq. 6 deadline comparison (solver plans sit
+/// exactly on band edges; FP round-trips must not flag them).
+constexpr double kDeadlineSlack = 1e-6;
+
 /// Collects violations up to the configured cap.
 class Collector {
  public:
@@ -263,7 +267,7 @@ PlanCheckReport PlanChecker::check(const Topology& topology,
         const units::Seconds delay = mm1::expected_delay(
             phi_eff, center.server_capacity, mu, lambda);
         const units::Seconds deadline = cls.tuf.deadline();
-        if (delay > deadline * (1.0 + options_.deadline_slack)) {
+        if (delay > deadline * (1.0 + kDeadlineSlack)) {
           out.add({PlanViolationCode::kDeadlineExceeded, k,
                    PlanViolation::kNoIndex, l, delay.value(),
                    deadline.value(),
@@ -402,10 +406,10 @@ PlanRepairReport PlanChecker::repair(const Topology& topology,
         const double deadline = cls.tuf.deadline().value();
         if (!violated) {
           violated = mm1::expected_delay(phi_eff, capacity, mu, lambda) >
-                     deadline * (1.0 + options_.deadline_slack);
+                     deadline * (1.0 + kDeadlineSlack);
         }
         // Delay at max_rate is exactly the deadline, strictly inside the
-        // deadline_slack band check() allows.
+        // kDeadlineSlack band check() allows.
         allowed_per_server = mm1::max_rate(phi_eff, capacity, mu, deadline);
       } else {
         // Stability alone: stay a hair below the effective service rate.

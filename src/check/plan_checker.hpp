@@ -106,9 +106,6 @@ class PlanChecker {
     /// Absolute slack on rate/share comparisons, matching the solvers'
     /// feasibility tolerance.
     double tol = 1e-6;
-    /// Relative slack on the Eq. 6 deadline comparison (solver plans sit
-    /// exactly on band edges; FP round-trips must not flag them).
-    double deadline_slack = 1e-6;
     /// Disable to audit baselines that are allowed to plan past-deadline
     /// (zero-revenue) streams; all hard constraints still apply.
     bool check_deadline = true;

@@ -1,6 +1,7 @@
 #include "core/bigm_nlp_policy.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "check/plan_checker.hpp"
 #include "queueing/mm1.hpp"
@@ -11,6 +12,13 @@
 namespace palb {
 
 namespace {
+
+/// The big-M system's "large constant" and "small enough" delta
+/// (StepTufBigM).
+constexpr double kBigM = 1e5;
+constexpr double kDelta = 1e-6;
+/// Seeds the multi-start points.
+constexpr std::uint64_t kSeed = 0x5EEDull;
 
 /// Index helpers over the flat decision vector. Like the paper's
 /// formulation (Eq. 4-8), routing and shares are *per server*:
@@ -92,8 +100,7 @@ DispatchPlan BigMNlpPolicy::plan_slot(const Topology& topo,
   bigm.reserve(K);
   for (std::size_t k = 0; k < K; ++k) {
     bigm.emplace_back(topo.classes[k].tuf.utilities(),
-                      topo.classes[k].tuf.sub_deadlines(), options_.big_m,
-                      options_.delta);
+                      topo.classes[k].tuf.sub_deadlines(), kBigM, kDelta);
   }
 
   NlpProblem problem;
@@ -224,7 +231,7 @@ DispatchPlan BigMNlpPolicy::plan_slot(const Topology& topo,
 
   const AugLagSolver solver(options_.nlp);
   const NlpResult result = solver.solve_multistart(
-      problem, x0, options_.multistarts, Rng(options_.seed));
+      problem, x0, options_.multistarts, Rng(kSeed));
   inner_iterations_ = result.inner_iterations;
   totals_.nlp_iterations += static_cast<std::uint64_t>(
       std::max(0, result.inner_iterations));

@@ -24,10 +24,7 @@ namespace palb {
 class BigMNlpPolicy : public Policy {
  public:
   struct Options {
-    double big_m = 1e5;
-    double delta = 1e-6;
     int multistarts = 6;
-    std::uint64_t seed = 0x5EEDull;
     AugLagSolver::Options nlp;
   };
 

@@ -40,8 +40,8 @@ class RightSizingPolicy : public Policy {
   DispatchPlan plan_slot(const Topology& topology,
                          const SlotInput& input) override;
   // No clone() override: the hold-window state makes plans depend on the
-  // slot *sequence*, so parallel block evaluation would change them. The
-  // default nullptr keeps SlotController on the serial path.
+  // slot *sequence*, so a fresh per-slot clone would change them.
+  // for_each_slot runs a policy whose clone() returns nullptr serially.
 
   /// Forget the power state (start of an independent run).
   void reset();

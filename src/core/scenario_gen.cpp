@@ -7,6 +7,13 @@
 
 namespace palb::scenario_gen {
 
+namespace {
+
+/// Per-request utility range ($) for the top TUF level.
+constexpr double kMinUtility = 0.004, kMaxUtility = 0.05;
+
+}  // namespace
+
 Scenario generate(std::uint64_t seed) { return generate(seed, Options{}); }
 
 Scenario generate(std::uint64_t seed, const Options& opt) {
@@ -22,8 +29,6 @@ Scenario generate(std::uint64_t seed, const Options& opt) {
                "bad server count range");
   PALB_REQUIRE(opt.max_tuf_levels >= 1, "need at least one TUF level");
   PALB_REQUIRE(opt.slots >= 1, "need at least one slot");
-  PALB_REQUIRE(opt.min_utility > 0.0 && opt.max_utility >= opt.min_utility,
-               "bad utility range");
 
   Rng rng(seed * 2654435761u + 97);
   Scenario sc;
@@ -41,7 +46,7 @@ Scenario generate(std::uint64_t seed, const Options& opt) {
   for (std::size_t k = 0; k < K; ++k) {
     const std::size_t levels = 1 + rng.uniform_index(opt.max_tuf_levels);
     std::vector<double> utilities, deadlines;
-    double u = rng.uniform(opt.min_utility, opt.max_utility);
+    double u = rng.uniform(kMinUtility, kMaxUtility);
     double d = rng.uniform(0.02, 0.2);
     for (std::size_t q = 0; q < levels; ++q) {
       utilities.push_back(u);
@@ -66,10 +71,9 @@ Scenario generate(std::uint64_t seed, const Options& opt) {
             static_cast<std::uint64_t>(opt.max_servers - opt.min_servers) +
             1));
     dc.server_capacity = rng.uniform(0.5, 2.0);
-    if (opt.vary_power_model) {
-      dc.pue = rng.uniform(1.0, 1.8);
-      dc.idle_power_kw = rng.bernoulli(0.3) ? rng.uniform(0.0, 5.0) : 0.0;
-    }
+    // Some DCs get idle power, and PUEs above 1.
+    dc.pue = rng.uniform(1.0, 1.8);
+    dc.idle_power_kw = rng.bernoulli(0.3) ? rng.uniform(0.0, 5.0) : 0.0;
     for (std::size_t k = 0; k < K; ++k) {
       dc.service_rate.push_back(rng.uniform(40.0, 250.0));
       dc.energy_per_request_kwh.push_back(rng.uniform(0.0, 0.01));

@@ -21,10 +21,6 @@ struct Options {
   std::size_t slots = 24;
   /// Fraction of (class, front-end) streams that are silent.
   double zero_rate_probability = 0.1;
-  /// Per-request utility range ($) for the top TUF level.
-  double min_utility = 0.004, max_utility = 0.05;
-  /// Give some DCs idle power / PUE above 1.
-  bool vary_power_model = true;
 };
 
 /// Builds a validated scenario (topology + diurnal-ish arrival traces +

@@ -219,6 +219,17 @@ FaultedSlot FaultSchedule::materialize(const Scenario& scenario,
 
 namespace fault_gen {
 
+namespace {
+
+/// Window length range in slots.
+constexpr std::size_t kMinDuration = 1, kMaxDuration = 4;
+/// Outage severity range (fraction of the fleet lost).
+constexpr double kMinOutage = 0.5, kMaxOutage = 1.0;
+/// Price-spike multiplier range.
+constexpr double kMinSpike = 2.0, kMaxSpike = 10.0;
+
+}  // namespace
+
 FaultSchedule generate(const Topology& topology, std::uint64_t seed,
                        const Options& options) {
   const std::size_t K = topology.num_classes();
@@ -226,16 +237,10 @@ FaultSchedule generate(const Topology& topology, std::uint64_t seed,
   const std::size_t L = topology.num_datacenters();
   PALB_REQUIRE(options.fault_rate >= 0.0 && options.fault_rate <= 1.0,
                "fault_rate must be in [0, 1]");
-  PALB_REQUIRE(options.min_duration >= 1 &&
-                   options.min_duration <= options.max_duration,
-               "fault duration bounds are inverted");
 
-  std::vector<FaultKind> kinds;
-  if (options.dc_outages) kinds.push_back(FaultKind::kDcOutage);
-  if (options.price_spikes) kinds.push_back(FaultKind::kPriceSpike);
-  if (options.trace_gaps) kinds.push_back(FaultKind::kTraceGap);
-  if (options.link_cuts) kinds.push_back(FaultKind::kLinkCut);
-  if (options.solver_failures) kinds.push_back(FaultKind::kSolverFailure);
+  std::vector<FaultKind> kinds = {
+      FaultKind::kDcOutage, FaultKind::kPriceSpike, FaultKind::kTraceGap,
+      FaultKind::kLinkCut, FaultKind::kSolverFailure};
   // The chaos kinds append after the legacy five, so enabling them
   // never re-maps the kind draws of a schedule generated without them.
   if (options.planner_stalls) kinds.push_back(FaultKind::kPlannerStall);
@@ -245,24 +250,21 @@ FaultSchedule generate(const Topology& topology, std::uint64_t seed,
   std::vector<FaultEvent> events;
   Rng rng(seed);
   for (std::size_t t = 0; t < options.slots; ++t) {
-    if (kinds.empty() || rng.uniform(0.0, 1.0) >= options.fault_rate) {
-      continue;
-    }
+    if (rng.uniform(0.0, 1.0) >= options.fault_rate) continue;
     FaultEvent e;
     e.kind = kinds[rng.uniform_index(kinds.size())];
     e.first_slot = t;
-    e.last_slot =
-        t + options.min_duration - 1 +
-        rng.uniform_index(options.max_duration - options.min_duration + 1);
+    e.last_slot = t + kMinDuration - 1 +
+                  rng.uniform_index(kMaxDuration - kMinDuration + 1);
     e.last_slot = std::min(e.last_slot, options.slots - 1);
     switch (e.kind) {
       case FaultKind::kDcOutage:
         e.dc = rng.uniform_index(L);
-        e.magnitude = rng.uniform(options.min_outage, options.max_outage);
+        e.magnitude = rng.uniform(kMinOutage, kMaxOutage);
         break;
       case FaultKind::kPriceSpike:
         e.dc = rng.uniform_index(L);
-        e.magnitude = rng.uniform(options.min_spike, options.max_spike);
+        e.magnitude = rng.uniform(kMinSpike, kMaxSpike);
         break;
       case FaultKind::kTraceGap:
         e.frontend = rng.uniform_index(S);
@@ -284,7 +286,7 @@ FaultSchedule generate(const Topology& topology, std::uint64_t seed,
         // Half the surges hit one front-end, half are global.
         e.frontend = rng.uniform(0.0, 1.0) < 0.5 ? rng.uniform_index(S)
                                                  : FaultEvent::kNoIndex;
-        e.magnitude = rng.uniform(options.min_surge, options.max_surge);
+        e.magnitude = rng.uniform(kMinSurge, kMaxSurge);
         break;
     }
     events.push_back(e);

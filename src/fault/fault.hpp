@@ -139,28 +139,21 @@ class FaultSchedule {
 /// options).
 namespace fault_gen {
 
+/// Demand-surge multiplier range.
+constexpr double kMinSurge = 1.5, kMaxSurge = 4.0;
+
 struct Options {
   std::size_t slots = 24;
   /// Per-slot probability that a new fault window starts. Each started
-  /// window draws its kind uniformly from the enabled kinds below.
+  /// window draws its kind uniformly from the five legacy kinds (outage,
+  /// price spike, trace gap, link cut, solver failure) plus the chaos
+  /// kinds enabled below, and lasts 1-4 slots.
   double fault_rate = 0.15;
-  std::size_t min_duration = 1, max_duration = 4;
-  bool dc_outages = true;
-  bool price_spikes = true;
-  bool trace_gaps = true;
-  bool link_cuts = true;
-  bool solver_failures = true;
-  /// The serving-path chaos kinds (PR 10) default OFF so schedules
-  /// generated from pre-existing seeds stay byte-identical.
+  /// The serving-path chaos kinds default OFF so schedules generated
+  /// from pre-existing seeds stay byte-identical.
   bool planner_stalls = false;
   bool publish_delays = false;
   bool demand_surges = false;
-  /// Outage severity range (fraction of the fleet lost).
-  double min_outage = 0.5, max_outage = 1.0;
-  /// Price-spike multiplier range.
-  double min_spike = 2.0, max_spike = 10.0;
-  /// Demand-surge multiplier range.
-  double min_surge = 1.5, max_surge = 4.0;
 };
 
 FaultSchedule generate(const Topology& topology, std::uint64_t seed,

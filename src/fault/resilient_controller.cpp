@@ -155,7 +155,9 @@ RunResult ResilientController::run(Policy& policy, std::size_t num_slots,
 
   // ---- Phase B: the ladder, serial in slot order (rung 3 consumes the
   // previous slot's *applied* plan, so order is semantic here).
-  const PlanChecker checker(options.checker);
+  // repair() and the acceptance check() share one checker: with
+  // different tolerances, repair's fixed point could fail the audit.
+  const PlanChecker checker;
   BalancedPolicy balanced;
   Policy& heuristic =
       options.heuristic != nullptr ? *options.heuristic : balanced;

@@ -61,10 +61,6 @@ class ResilientController {
     /// Worker fan-out for the candidate-solve phase; same semantics as
     /// SlotController::RunOptions::workers.
     std::size_t workers = 1;
-    /// Constraint tolerances for both repair() and the acceptance
-    /// check() — the two must share Options or repair's fixed point
-    /// could still fail the audit.
-    PlanChecker::Options checker;
     /// Rung-4 heuristic override (not owned; must outlive the
     /// controller). nullptr = an internal BalancedPolicy.
     Policy* heuristic = nullptr;

@@ -40,32 +40,30 @@ FallbackRung lower_effort(FallbackRung effort) {
 AsyncPlanner::AsyncPlanner(Scenario scenario, FaultSchedule schedule,
                            PlanHandle& live)
     : AsyncPlanner(std::move(scenario), std::move(schedule), live,
-                   Options{}) {}
+                   Watchdog{}) {}
 
 AsyncPlanner::AsyncPlanner(Scenario scenario, FaultSchedule schedule,
-                           PlanHandle& live, Options options)
+                           PlanHandle& live, Watchdog watchdog)
     : controller_(std::move(scenario), std::move(schedule)),
       live_(live),
-      options_(options),
+      watchdog_(watchdog),
       pool_(1) {}
 
 AsyncPlanner::~AsyncPlanner() { pool_.shutdown(); }
 
 RunResult AsyncPlanner::run_guarded(Policy& policy, std::size_t num_slots,
                                     std::size_t first_slot) {
-  ResilientController::Options run_options = options_.resilient;
-  run_options.workers = options_.solve_workers;
+  ResilientController::Options run_options;
   run_options.live = &live_;
-  const Watchdog& wd = options_.watchdog;
+  const Watchdog& wd = watchdog_;
   if (wd.solve_deadline_seconds <= 0.0) {
     return controller_.run(policy, num_slots, first_slot, run_options);
   }
 
-  // Deterministic backoff jitter: a pure function of (seed, first_slot,
-  // retry index), so two planners configured alike back off alike.
-  SplitMix64 jitter(wd.jitter_seed ^
-                    (0x9E3779B97F4A7C15ull *
-                     (static_cast<std::uint64_t>(first_slot) + 1)));
+  // Deterministic backoff jitter: a pure function of (first_slot, retry
+  // index), so two planners back off alike.
+  SplitMix64 jitter(0x9E3779B97F4A7C15ull *
+                    (static_cast<std::uint64_t>(first_slot) + 1));
   std::optional<Clock::time_point> first_expiry;
   RunResult result;
   for (std::size_t attempt = 0;; ++attempt) {

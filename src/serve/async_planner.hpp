@@ -20,12 +20,11 @@ namespace palb::serve {
 /// Dispatcher's routing tables follow the run while it is in flight.
 ///
 /// One pool thread executes solve jobs in submission order (a Policy is
-/// not safe for concurrent plan_slot calls); each job fans its candidate
-/// solves across `Options::solve_workers` internally, exactly as a
-/// foreground ResilientController run would. The fast path never waits
-/// on this class: readers route against whatever plan version has
-/// landed, and `route()` returns an explicit no-route until the first
-/// publish.
+/// not safe for concurrent plan_slot calls); each job runs its candidate
+/// solves serially, exactly as a foreground ResilientController run with
+/// default options would. The fast path never waits on this class:
+/// readers route against whatever plan version has landed, and `route()`
+/// returns an explicit no-route until the first publish.
 class AsyncPlanner {
  public:
   /// Solve-lifecycle watchdog (docs/OVERLOAD.md): a wall-clock budget
@@ -33,8 +32,8 @@ class AsyncPlanner {
   /// budget expires, the attempt's cancel token flips, in-flight full
   /// solves abort at pivot-batch granularity, and the ladder finishes
   /// the run from its cheaper rungs — the dispatcher keeps serving the
-  /// whole time. The planner then retries after a seed-jittered
-  /// exponential backoff, each retry capped one effort rung lower
+  /// whole time. The planner then retries after a jittered exponential
+  /// backoff, each retry capped one effort rung lower
   /// (full-solve -> reduced-resolve -> previous-plan), so a retry that
   /// fits the budget re-publishes fresher plans.
   ///
@@ -50,9 +49,9 @@ class AsyncPlanner {
     /// attempt); each one descends the effort ladder by one rung.
     std::size_t max_retries = 2;
     /// Backoff before retry r is base * 2^r, scaled by a deterministic
-    /// jitter factor in [0.5, 1.5) drawn from `jitter_seed`.
+    /// jitter factor in [0.5, 1.5) drawn from a stream seeded by the
+    /// job's first slot.
     double backoff_base_seconds = 0.02;
-    std::uint64_t jitter_seed = 0;
   };
 
   /// Cumulative watchdog telemetry across all solve_async jobs.
@@ -68,23 +67,11 @@ class AsyncPlanner {
     std::uint64_t stale_plan_ns = 0;
   };
 
-  struct Options {
-    /// Candidate-solve fan-out inside each run (ResilientController
-    /// Options::workers semantics; 1 = serial).
-    std::size_t solve_workers = 1;
-    /// Checker / heuristic configuration forwarded to every run.
-    /// `live` is overwritten with this planner's PlanHandle, and
-    /// `cancel` / `max_effort` with each watchdog attempt's token and
-    /// rung cap (set Watchdog::solve_deadline_seconds = 0 to keep them
-    /// yours).
-    ResilientController::Options resilient;
-    Watchdog watchdog;
-  };
-
-  /// `live` is not owned and must outlive the planner.
+  /// `live` is not owned and must outlive the planner. The 3-argument
+  /// form runs with the watchdog disabled.
   AsyncPlanner(Scenario scenario, FaultSchedule schedule, PlanHandle& live);
   AsyncPlanner(Scenario scenario, FaultSchedule schedule, PlanHandle& live,
-               Options options);
+               Watchdog watchdog);
   /// Joins the solve thread; queued runs complete first (ThreadPool
   /// shutdown contract).
   ~AsyncPlanner();
@@ -112,7 +99,7 @@ class AsyncPlanner {
 
   ResilientController controller_;
   PlanHandle& live_;
-  Options options_;
+  Watchdog watchdog_;
   std::atomic<std::uint64_t> deadline_expirations_{0};
   std::atomic<std::uint64_t> retries_{0};
   std::atomic<std::uint64_t> stale_plan_ns_{0};

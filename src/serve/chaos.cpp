@@ -30,21 +30,18 @@ double total_offered(const SlotInput& input) {
 ChaosReport run_chaos(const Scenario& scenario, const FaultSchedule& schedule,
                       Policy& policy, const ChaosOptions& options) {
   PALB_REQUIRE(options.num_slots > 0, "chaos run needs at least one slot");
-  PALB_REQUIRE(!options.thread_counts.empty(),
-               "chaos run needs at least one driver thread count");
 
   // ---- Slow path: one ResilientController pass with a live handle, so
   // live_slots records which plan the fast path would have served after
   // every slot (including publish-delay suppressions and TTL forces).
   ResilientController controller(scenario, schedule);
-  ResilientController::Options run_options = options.resilient;
+  ResilientController::Options run_options;
   run_options.workers = options.solve_workers;
   run_options.stale_plan_ttl_slots = options.stale_plan_ttl_slots;
   PlanHandle solve_live;
   run_options.live = &solve_live;
   const RunResult run =
-      controller.run(policy, options.num_slots, options.first_slot,
-                     run_options);
+      controller.run(policy, options.num_slots, 0, run_options);
 
   ChaosReport report;
   report.slots = options.num_slots;
@@ -62,12 +59,10 @@ ChaosReport run_chaos(const Scenario& scenario, const FaultSchedule& schedule,
   PlanHandle replay_live;
   Dispatcher dispatcher(scenario.topology, replay_live);
   AdmissionController admission(scenario.topology, replay_live,
-                                scenario.slot_input(options.first_slot),
-                                options.burst_margin);
+                                scenario.slot_input(0));
   double stale_sum = 0.0;
   for (std::size_t t = 0; t < options.num_slots; ++t) {
-    const FaultedSlot world =
-        schedule.materialize(scenario, options.first_slot + t);
+    const FaultedSlot world = schedule.materialize(scenario, t);
     const std::int64_t live_index = run.live_slots[t];
     if (live_index >= 0) {
       // Re-publishes a plan the ResilientController pass above already
@@ -84,16 +79,15 @@ ChaosReport run_chaos(const Scenario& scenario, const FaultSchedule& schedule,
 
     if (total_offered(world.input) <= 0.0) continue;  // nothing arrives
     const RequestStream stream = RequestStream::compile(
-        scenario.topology, world.input,
-        options.stream_seed ^ (options.first_slot + t));
+        scenario.topology, world.input, options.stream_seed ^ t);
 
     QpsOptions qps;
     qps.total_requests = options.requests_per_slot;
     qps.record_decisions = true;
     qps.admission = &admission;
     std::vector<std::uint64_t> baseline;
-    for (std::size_t i = 0; i < options.thread_counts.size(); ++i) {
-      qps.threads = options.thread_counts[i];
+    for (std::size_t i = 0; i < kChaosThreadCounts.size(); ++i) {
+      qps.threads = kChaosThreadCounts[i];
       const QpsReport replay = run_qps(dispatcher, stream, qps);
       report.stalled_routes += replay.dispatcher.stalled_routes;
       if (i == 0) {
@@ -112,8 +106,8 @@ ChaosReport run_chaos(const Scenario& scenario, const FaultSchedule& schedule,
 
   // ---- Optional timed tail against the final live state.
   if (options.timed_seconds > 0.0) {
-    const FaultedSlot world = schedule.materialize(
-        scenario, options.first_slot + options.num_slots - 1);
+    const FaultedSlot world =
+        schedule.materialize(scenario, options.num_slots - 1);
     if (total_offered(world.input) > 0.0) {
       const RequestStream stream = RequestStream::compile(
           scenario.topology, world.input, options.stream_seed);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -7,7 +8,6 @@
 #include "core/controller.hpp"
 #include "core/policy.hpp"
 #include "fault/fault.hpp"
-#include "fault/resilient_controller.hpp"
 #include "serve/load_driver.hpp"
 
 namespace palb::serve {
@@ -28,29 +28,27 @@ namespace palb::serve {
 /// deterministic FaultKinds, not the wall-clock watchdog, so two chaos
 /// runs with the same inputs agree bit for bit (the timed latency tail
 /// is the one excepted, clock-dependent section).
+///
+/// The replay admits with AdmissionController's default burst margin.
 struct ChaosOptions {
+  /// Replays slots [0, num_slots).
   std::size_t num_slots = 24;
-  std::size_t first_slot = 0;
   /// Candidate-solve fan-out of the slow-path pass.
   std::size_t solve_workers = 1;
   /// Fixed-mode requests replayed per slot per thread-count.
   std::uint64_t requests_per_slot = 4096;
   /// Seeds the per-slot RequestStream (slot index is mixed in).
   std::uint64_t stream_seed = 42;
-  /// Driver thread counts whose decision recordings must compare equal.
-  std::vector<std::size_t> thread_counts = {1, 2, 4};
   /// Stale-plan TTL forwarded to the slow path (resilient_controller.hpp).
   std::size_t stale_plan_ttl_slots = 3;
-  /// Admission burst margin (serve/admission.hpp).
-  double burst_margin = 0.05;
   /// Timed throughput/latency pass against the final live plan, with
   /// admission enabled; 0 skips it (keeps smoke runs fast and the
   /// report fully deterministic).
   double timed_seconds = 0.0;
-  /// Checker / heuristic configuration for the slow-path pass. `live`,
-  /// `workers`, and `stale_plan_ttl_slots` are overwritten.
-  ResilientController::Options resilient;
 };
+
+/// Driver thread counts whose decision recordings must compare equal.
+inline constexpr std::array<std::size_t, 3> kChaosThreadCounts = {1, 2, 4};
 
 /// Everything one chaos run measured.
 struct ChaosReport {
@@ -83,7 +81,7 @@ struct ChaosReport {
   /// 0 (the "dispatcher keeps serving" acceptance gate).
   std::uint64_t stalled_routes = 0;
   /// True iff every slot's decision recording compared equal across all
-  /// ChaosOptions::thread_counts.
+  /// kChaosThreadCounts.
   bool decisions_identical = true;
 
   /// Timed pass (zeros when ChaosOptions::timed_seconds == 0).

@@ -27,6 +27,16 @@ double seconds_since(Clock::time_point since) {
 
 constexpr std::uint64_t kIndexStride = 0x9E3779B97F4A7C15ull;
 
+/// Each driver thread polls Dispatcher::try_refresh() every this many
+/// requests (the plan-swap pickup cadence of the batch fast path).
+constexpr std::uint64_t kRefreshEvery = 1024;
+/// Timed mode samples the per-route latency on every this-many-th
+/// request. The gate is a per-thread countdown, not a modulo, and the
+/// steady-clock read overhead (calibrated once per run) is subtracted
+/// from every sample, so sampling distorts neither the unsampled fast
+/// path nor the sampled latencies themselves (docs/SERVING.md).
+constexpr std::uint64_t kLatencySampleEvery = 16;
+
 /// Calibrates the cost of one steady-clock read: the min over a burst
 /// of back-to-back Clock::now() pairs is the irreducible read-to-read
 /// distance, which every timed latency sample pays on top of the route
@@ -158,10 +168,6 @@ QpsReport run_qps(const Dispatcher& dispatcher, const RequestStream& stream,
     threads =
         std::min<std::size_t>(threads, options.total_requests);
   }
-  const std::uint64_t refresh_every = std::max<std::uint64_t>(
-      1, options.refresh_every);
-  const std::uint64_t sample_every = std::max<std::uint64_t>(
-      1, options.latency_sample_every);
 
   QpsReport report;
   report.threads = threads;
@@ -217,7 +223,7 @@ QpsReport run_qps(const Dispatcher& dispatcher, const RequestStream& stream,
         ThreadTally& tally = tallies[t];
         Snapshots snap;
         for (std::uint64_t n = 0; n < count; ++n) {
-          if (n % refresh_every == 0) snap = pick_up();
+          if (n % kRefreshEvery == 0) snap = pick_up();
           const std::uint64_t index = first + n;
           const RequestStream::Request req = stream.at(index);
           const Route route = decide(snap, req);
@@ -241,18 +247,17 @@ QpsReport run_qps(const Dispatcher& dispatcher, const RequestStream& stream,
         // without shared state; 2^40 indices per thread is days of
         // headroom at any realistic rate.
         const std::uint64_t first = static_cast<std::uint64_t>(t) << 40;
-        // Countdown gate instead of `n % sample_every`: the unsampled
-        // fast path pays one predictable dec-and-branch, not a 64-bit
-        // modulo per request.
+        // Countdown gate: the unsampled fast path pays one predictable
+        // dec-and-branch per request.
         std::uint64_t until_sample = 1;
         std::uint64_t n = 0;
         while (Clock::now() < deadline) {
           const Snapshots snap = pick_up();
-          const std::uint64_t batch_end = n + refresh_every;
+          const std::uint64_t batch_end = n + kRefreshEvery;
           for (; n < batch_end; ++n) {
             const RequestStream::Request req = stream.at(first + n);
             if (--until_sample == 0) {
-              until_sample = sample_every;
+              until_sample = kLatencySampleEvery;
               const auto t0 = Clock::now();
               const Route route = decide(snap, req);
               const auto t1 = Clock::now();

@@ -55,15 +55,6 @@ struct QpsOptions {
   std::size_t threads = 1;  ///< 0 = one per hardware thread
   double seconds = 1.0;
   std::uint64_t total_requests = 0;
-  /// Poll Dispatcher::try_refresh() every this many requests per thread
-  /// (the plan-swap pickup cadence of the batch fast path).
-  std::uint64_t refresh_every = 1024;
-  /// Sample the per-route latency on every Nth request (timed mode).
-  /// The gate is a per-thread countdown, not a modulo, and the steady-
-  /// clock read overhead (calibrated once per run) is subtracted from
-  /// every sample — so sampling distorts neither the unsampled fast
-  /// path nor the sampled latencies themselves (docs/SERVING.md).
-  std::uint64_t latency_sample_every = 16;
   bool record_decisions = false;  ///< fixed mode only
   /// Optional admission gate (not owned; must outlive the run). When
   /// set, every request is admission-controlled *before* routing:

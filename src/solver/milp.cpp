@@ -23,6 +23,12 @@ const char* to_string(MilpStatus status) {
 }
 
 namespace {
+
+constexpr double kIntegralityTolerance = 1e-6;
+/// Prune nodes whose bound is within this absolute gap of the
+/// incumbent.
+constexpr double kAbsoluteGap = 1e-9;
+
 struct Node {
   // Tightened bounds for the integer variables along this branch.
   std::vector<std::pair<int, std::pair<double, double>>> bounds;
@@ -42,7 +48,6 @@ MilpSolution MilpSolver::solve(const LinearProgram& model,
   }
   SimplexSolver lp_solver(options_.lp);
   const bool maximizing = model.objective_sense() == Sense::kMaximize;
-  const double tol = options_.integrality_tolerance;
 
   MilpSolution best;
   best.status = MilpStatus::kInfeasible;
@@ -51,12 +56,12 @@ MilpSolution MilpSolver::solve(const LinearProgram& model,
   std::stack<Node> open;
   open.push(Node{});
   int nodes = 0;
-  bool hit_limit = false;
+  bool stopped_early = false;  // node cap, pivot cap or cancellation
   bool root_unbounded = false;
 
   while (!open.empty()) {
     if (nodes >= options_.max_nodes) {
-      hit_limit = true;
+      stopped_early = true;
       break;
     }
     Node node = std::move(open.top());
@@ -88,20 +93,30 @@ MilpSolution MilpSolver::solve(const LinearProgram& model,
       root_unbounded = true;
       break;
     }
-    if (rel.status == LpStatus::kIterationLimit) continue;
+    if (rel.status == LpStatus::kCancelled) {
+      // The partial relaxation certifies nothing; the caller asked the
+      // whole search to stop.
+      stopped_early = true;
+      break;
+    }
+    if (rel.status == LpStatus::kIterationLimit) {
+      // The subtree stays unexplored, so the search can no longer prove
+      // optimality or infeasibility.
+      stopped_early = true;
+      continue;
+    }
 
     // Bound-based pruning.
     if (have_incumbent) {
       const bool dominated =
-          maximizing
-              ? rel.objective <= best.objective + options_.absolute_gap
-              : rel.objective >= best.objective - options_.absolute_gap;
+          maximizing ? rel.objective <= best.objective + kAbsoluteGap
+                     : rel.objective >= best.objective - kAbsoluteGap;
       if (dominated) continue;
     }
 
     // Most-fractional branching variable.
     int branch_var = -1;
-    double worst_frac = tol;
+    double worst_frac = kIntegralityTolerance;
     for (int v : integer_vars) {
       const double x = rel.x[static_cast<std::size_t>(v)];
       const double frac = std::abs(x - std::round(x));
@@ -149,12 +164,13 @@ MilpSolution MilpSolver::solve(const LinearProgram& model,
   best.nodes_explored = nodes;
   if (root_unbounded) {
     best.status = MilpStatus::kUnbounded;
-  } else if (have_incumbent) {
-    // A node-limit abort with an incumbent still reports the incumbent,
-    // flagged as kNodeLimit so callers know optimality is unproven.
-    best.status = hit_limit ? MilpStatus::kNodeLimit : MilpStatus::kOptimal;
+  } else if (stopped_early) {
+    // An early stop still reports any incumbent, flagged as kNodeLimit
+    // so callers know optimality is unproven.
+    best.status = MilpStatus::kNodeLimit;
   } else {
-    best.status = hit_limit ? MilpStatus::kNodeLimit : MilpStatus::kInfeasible;
+    best.status =
+        have_incumbent ? MilpStatus::kOptimal : MilpStatus::kInfeasible;
   }
   return best;
 }

@@ -7,7 +7,14 @@
 
 namespace palb {
 
-enum class MilpStatus { kOptimal, kInfeasible, kNodeLimit, kUnbounded };
+enum class MilpStatus {
+  kOptimal,
+  kInfeasible,
+  /// Stopped early (node cap, pivot cap or cancellation): optimality
+  /// unproven. Carries the incumbent when one was found.
+  kNodeLimit,
+  kUnbounded,
+};
 
 const char* to_string(MilpStatus status);
 
@@ -33,10 +40,10 @@ class MilpSolver {
  public:
   struct Options {
     int max_nodes = 100000;
-    double integrality_tolerance = 1e-6;
-    /// Prune nodes whose bound is within this absolute gap of the
-    /// incumbent.
-    double absolute_gap = 1e-9;
+    /// Every node relaxation's solver options. A relaxation that stops
+    /// at `lp.max_iterations` leaves its subtree unexplored, and one
+    /// that observes `lp.cancel` ends the search; either way the result
+    /// is kNodeLimit.
     SimplexSolver::Options lp;
   };
 

@@ -21,6 +21,14 @@ void NlpProblem::validate() const {
 
 namespace {
 
+constexpr double kInitialPenalty = 10.0;
+constexpr double kPenaltyGrowth = 4.0;
+constexpr double kMaxPenalty = 1e8;
+constexpr double kFeasibilityTolerance = 1e-6;
+constexpr double kGradientTolerance = 1e-7;
+/// Relative central-difference step.
+constexpr double kFdStep = 1e-6;
+
 void project(const NlpProblem& p, std::vector<double>& x) {
   for (std::size_t i = 0; i < p.dimension; ++i) {
     x[i] = std::clamp(x[i], p.lower[i], p.upper[i]);
@@ -64,12 +72,11 @@ class AugLag {
 
 std::vector<double> finite_diff_gradient(
     const std::function<double(const std::vector<double>&)>& f,
-    const NlpProblem& p, const std::vector<double>& x, double step) {
+    const NlpProblem& p, const std::vector<double>& x) {
   std::vector<double> g(p.dimension, 0.0);
   std::vector<double> probe = x;
   for (std::size_t i = 0; i < p.dimension; ++i) {
-    const double h =
-        step * std::max(1.0, std::abs(x[i]));
+    const double h = kFdStep * std::max(1.0, std::abs(x[i]));
     // Stay inside the box so models with asymptotes at the boundary
     // (the M/M/1 delay blows up at the stability edge) are never probed
     // outside their domain.
@@ -101,7 +108,7 @@ NlpResult AugLagSolver::solve(const NlpProblem& problem,
 
   std::vector<double> lam_ineq(problem.inequalities.size(), 0.0);
   std::vector<double> lam_eq(problem.equalities.size(), 0.0);
-  double rho = options_.initial_penalty;
+  double rho = kInitialPenalty;
 
   NlpResult result;
   result.x = x;
@@ -111,103 +118,40 @@ NlpResult AugLagSolver::solve(const NlpProblem& problem,
     AugLag merit(problem, lam_ineq, lam_eq, rho);
 
     // --- inner minimization of the augmented Lagrangian -----------------
-    if (options_.inner_method == InnerMethod::kProjectedGradient) {
-      // Plain projected gradient with Armijo backtracking (monotone).
-      double fx = merit(x);
-      for (int inner = 0; inner < options_.max_inner; ++inner) {
-        ++result.inner_iterations;
-        const std::vector<double> grad =
-            finite_diff_gradient(merit, problem, x, options_.fd_step);
+    // Projected gradient with Armijo backtracking (monotone).
+    double fx = merit(x);
+    for (int inner = 0; inner < options_.max_inner; ++inner) {
+      ++result.inner_iterations;
+      const std::vector<double> grad = finite_diff_gradient(merit, problem, x);
 
-        double stat = 0.0;
-        for (std::size_t i = 0; i < problem.dimension; ++i) {
-          const double trial = std::clamp(x[i] - grad[i], problem.lower[i],
-                                          problem.upper[i]);
-          stat = std::max(stat, std::abs(trial - x[i]));
-        }
-        if (stat < options_.gradient_tolerance) break;
-
-        double step = 1.0;
-        bool moved = false;
-        for (int bt = 0; bt < 40; ++bt) {
-          std::vector<double> cand(problem.dimension);
-          double decrease_model = 0.0;
-          for (std::size_t i = 0; i < problem.dimension; ++i) {
-            cand[i] = std::clamp(x[i] - step * grad[i], problem.lower[i],
-                                 problem.upper[i]);
-            decrease_model += grad[i] * (x[i] - cand[i]);
-          }
-          const double f_cand = merit(cand);
-          if (f_cand <= fx - 1e-4 * decrease_model &&
-              std::isfinite(f_cand)) {
-            x = std::move(cand);
-            fx = f_cand;
-            moved = true;
-            break;
-          }
-          step *= 0.5;
-        }
-        if (!moved) break;
+      double stat = 0.0;
+      for (std::size_t i = 0; i < problem.dimension; ++i) {
+        const double trial = std::clamp(x[i] - grad[i], problem.lower[i],
+                                        problem.upper[i]);
+        stat = std::max(stat, std::abs(trial - x[i]));
       }
-    } else {
-      // FISTA: persistent backtracked step on the quadratic upper model,
-      // Nesterov extrapolation, O'Donoghue-Candes function restart.
-      double fx = merit(x);
-      std::vector<double> x_prev = x;
-      double theta = 1.0;
-      double step = 1.0;  // shrinks monotonically (estimates 1/L)
-      for (int inner = 0; inner < options_.max_inner; ++inner) {
-        ++result.inner_iterations;
+      if (stat < kGradientTolerance) break;
 
-        std::vector<double> y(problem.dimension);
-        const double theta_next =
-            0.5 * (1.0 + std::sqrt(1.0 + 4.0 * theta * theta));
-        const double beta = (theta - 1.0) / theta_next;
-        for (std::size_t i = 0; i < problem.dimension; ++i) {
-          y[i] = std::clamp(x[i] + beta * (x[i] - x_prev[i]),
-                            problem.lower[i], problem.upper[i]);
-        }
-        const std::vector<double> grad =
-            finite_diff_gradient(merit, problem, y, options_.fd_step);
-
-        double stat = 0.0;
-        for (std::size_t i = 0; i < problem.dimension; ++i) {
-          const double trial = std::clamp(y[i] - grad[i], problem.lower[i],
-                                          problem.upper[i]);
-          stat = std::max(stat, std::abs(trial - y[i]));
-        }
-        if (stat < options_.gradient_tolerance) break;
-
-        const double fy = merit(y);
-        bool moved = false;
+      double step = 1.0;
+      bool moved = false;
+      for (int bt = 0; bt < 40; ++bt) {
         std::vector<double> cand(problem.dimension);
-        for (int bt = 0; bt < 60; ++bt) {
-          double model = fy;
-          for (std::size_t i = 0; i < problem.dimension; ++i) {
-            cand[i] = std::clamp(y[i] - step * grad[i], problem.lower[i],
-                                 problem.upper[i]);
-            const double diff = cand[i] - y[i];
-            model += grad[i] * diff + diff * diff / (2.0 * step);
-          }
-          const double f_cand = merit(cand);
-          if (std::isfinite(f_cand) && f_cand <= model + 1e-12) {
-            x_prev = x;
-            x = cand;
-            // Function restart: momentum that raises the merit is wiped.
-            if (f_cand > fx) {
-              theta = 1.0;
-            } else {
-              theta = theta_next;
-            }
-            fx = f_cand;
-            moved = true;
-            break;
-          }
-          step *= 0.5;
-          if (step < 1e-16) break;
+        double decrease_model = 0.0;
+        for (std::size_t i = 0; i < problem.dimension; ++i) {
+          cand[i] = std::clamp(x[i] - step * grad[i], problem.lower[i],
+                               problem.upper[i]);
+          decrease_model += grad[i] * (x[i] - cand[i]);
         }
-        if (!moved) break;
+        const double f_cand = merit(cand);
+        if (f_cand <= fx - 1e-4 * decrease_model && std::isfinite(f_cand)) {
+          x = std::move(cand);
+          fx = f_cand;
+          moved = true;
+          break;
+        }
+        step *= 0.5;
       }
+      if (!moved) break;
     }
 
     // --- outer: multiplier & penalty updates -----------------------------
@@ -223,18 +167,17 @@ NlpResult AugLagSolver::solve(const NlpProblem& problem,
       viol = std::max(viol, std::abs(h));
     }
 
-    if (viol <= options_.feasibility_tolerance) {
+    if (viol <= kFeasibilityTolerance) {
       result.converged = true;
       break;
     }
-    rho = std::min(rho * options_.penalty_growth, options_.max_penalty);
+    rho = std::min(rho * kPenaltyGrowth, kMaxPenalty);
   }
 
   result.x = x;
   result.objective = problem.objective(x);
   result.infeasibility = max_violation(problem, x);
-  result.converged =
-      result.infeasibility <= options_.feasibility_tolerance;
+  result.converged = result.infeasibility <= kFeasibilityTolerance;
   return result;
 }
 

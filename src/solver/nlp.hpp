@@ -45,24 +45,9 @@ struct NlpResult {
 /// with projected gradient descent + Armijo backtracking.
 class AugLagSolver {
  public:
-  /// Inner minimizer of the augmented Lagrangian over the box.
-  enum class InnerMethod {
-    kProjectedGradient,  ///< Armijo backtracking (robust default)
-    kAccelerated,        ///< FISTA-style momentum with function-value
-                         ///< restart — far fewer iterations on
-                         ///< ill-conditioned smooth problems
-  };
-
   struct Options {
     int max_outer = 40;
     int max_inner = 400;
-    InnerMethod inner_method = InnerMethod::kProjectedGradient;
-    double initial_penalty = 10.0;
-    double penalty_growth = 4.0;
-    double max_penalty = 1e8;
-    double feasibility_tolerance = 1e-6;
-    double gradient_tolerance = 1e-7;
-    double fd_step = 1e-6;
   };
 
   AugLagSolver() = default;

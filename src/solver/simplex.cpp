@@ -31,6 +31,13 @@ namespace {
 /// Feasibility tolerance for basic values against their bounds; matches
 /// LinearProgram::is_feasible so an accepted start is a feasible point.
 constexpr double kFeasTol = 1e-7;
+/// Pricing, ratio-test and zero-snapping tolerance.
+constexpr double kTol = 1e-9;
+/// After this many non-improving pivots switch to Bland's rule.
+constexpr int kStallThreshold = 200;
+/// Size of the pricing candidate list; each refill keeps the this-many
+/// most attractive columns from one full Dantzig scan.
+constexpr int kCandidateListSize = 8;
 
 /// How an original model variable maps onto the internal columns. Every
 /// internal column has lower bound 0 after the transform; a kShifted
@@ -175,28 +182,27 @@ void pivot_on(Tableau& t, int prow, int pcol, std::vector<double>* d,
 /// column prices attractively. Entering columns come from a candidate
 /// list refreshed by full Dantzig scans (score ties and refill order are
 /// index-ascending, so the pivot sequence is deterministic); after
-/// `stall_threshold` non-improving steps the phase falls back to Bland's
+/// kStallThreshold non-improving steps the phase falls back to Bland's
 /// rule (lowest eligible index) which cannot cycle. A step is either a
 /// basis change or a bound flip — the entering column runs to its
 /// opposite bound before any basic variable hits one of its own.
 LpStatus run_bounded(Tableau& t, std::vector<double>& d,
                      const SimplexSolver::Options& opt, int& iterations,
                      std::vector<std::pair<int, int>>* log) {
-  const double tol = opt.tolerance;
   // Attractiveness of a nonbasic column: positive magnitude of its
   // reduced cost when moving off its bound improves the objective.
   auto price = [&](int c) -> double {
     if (t.status[c] == ColStatus::kBasic) return 0.0;
     if (t.lo[c] == t.up[c]) return 0.0;  // fixed (incl. retired slacks)
     const double dc = d[c];
-    if (t.status[c] == ColStatus::kAtLower) return dc < -tol ? -dc : 0.0;
-    return dc > tol ? dc : 0.0;
+    if (t.status[c] == ColStatus::kAtLower) return dc < -kTol ? -dc : 0.0;
+    return dc > kTol ? dc : 0.0;
   };
 
   std::vector<int> cands;
   std::vector<std::pair<double, int>> scored;  // refill scratch
   std::vector<std::pair<double, int>> pack;    // ratio-test candidates
-  cands.reserve(static_cast<std::size_t>(opt.candidate_list_size));
+  cands.reserve(static_cast<std::size_t>(kCandidateListSize));
   pack.reserve(static_cast<std::size_t>(t.rows));
 
   int stalled = 0;
@@ -216,7 +222,7 @@ LpStatus run_bounded(Tableau& t, std::vector<double>& d,
     }
     // --- Entering column. ------------------------------------------------
     int enter = -1;
-    if (stalled >= opt.stall_threshold) {
+    if (stalled >= kStallThreshold) {
       // Bland: lowest eligible index, immune to cycling.
       for (int c = 0; c < t.cols; ++c) {
         if (price(c) > 0.0) {
@@ -244,8 +250,7 @@ LpStatus run_bounded(Tableau& t, std::vector<double>& d,
           if (s > 0.0) scored.emplace_back(-s, c);
         }
         const auto k = std::min(
-            scored.size(),
-            static_cast<std::size_t>(std::max(1, opt.candidate_list_size)));
+            scored.size(), static_cast<std::size_t>(kCandidateListSize));
         std::partial_sort(scored.begin(),
                           scored.begin() + static_cast<std::ptrdiff_t>(k),
                           scored.end());
@@ -282,7 +287,7 @@ LpStatus run_bounded(Tableau& t, std::vector<double>& d,
     pack.clear();
     for (int r = 0; r < t.rows; ++r) {
       const double e = dir * t.row(r)[enter];
-      if (e > tol || e < -tol) pack.emplace_back(e, r);
+      if (e > kTol || e < -kTol) pack.emplace_back(e, r);
     }
     int leave = -1;
     bool leave_at_upper = false;
@@ -290,20 +295,20 @@ LpStatus run_bounded(Tableau& t, std::vector<double>& d,
     for (const auto& [e, r] : pack) {
       double ratio;
       bool to_upper;
-      if (e > tol) {  // basic value decreases toward its lower bound
+      if (e > kTol) {  // basic value decreases toward its lower bound
         const double blo = t.lo[t.basis[r]];
         if (!std::isfinite(blo)) continue;
         ratio = (t.xb[r] - blo) / e;
         to_upper = false;
-      } else {  // e < -tol: basic value increases toward its upper
+      } else {  // e < -kTol: basic value increases toward its upper
         const double bup = t.up[t.basis[r]];
         if (!std::isfinite(bup)) continue;
         ratio = (bup - t.xb[r]) / (-e);
         to_upper = true;
       }
       if (ratio < 0.0) ratio = 0.0;  // degeneracy drift guard
-      if (leave < 0 || ratio < limit - tol ||
-          (ratio < limit + tol && t.basis[r] < t.basis[leave])) {
+      if (leave < 0 || ratio < limit - kTol ||
+          (ratio < limit + kTol && t.basis[r] < t.basis[leave])) {
         leave = r;
         limit = ratio;
         leave_at_upper = to_upper;
@@ -337,7 +342,7 @@ LpStatus run_bounded(Tableau& t, std::vector<double>& d,
       ++iterations;
       if (log) log->emplace_back(enter, lcol);
     }
-    if (obj < last_obj - tol) {
+    if (obj < last_obj - kTol) {
       stalled = 0;
       last_obj = obj;
     } else {
@@ -351,7 +356,6 @@ LpStatus run_bounded(Tableau& t, std::vector<double>& d,
 
 LpSolution SimplexSolver::solve(const LinearProgram& lp,
                                 const SimplexBasis* warm) const {
-  const double tol = options_.tolerance;
   const int n_orig = lp.num_variables();
   const int m = lp.num_constraints();
 
@@ -597,7 +601,7 @@ LpSolution SimplexSolver::solve(const LinearProgram& lp,
     for (int r = 0; r < m; ++r) {
       const int sc = n_internal + r;
       const double b = rhs0[r];
-      if (b >= t.lo[sc] - tol && b <= t.up[sc] + tol) {
+      if (b >= t.lo[sc] - kTol && b <= t.up[sc] + kTol) {
         // The row's own slack can carry the residual: basic at b.
         t.basis[r] = sc;
         t.status[sc] = ColStatus::kBasic;
@@ -878,7 +882,7 @@ LpSolution SimplexSolver::solve(const LinearProgram& lp,
     }
     // Snap tiny numerical residue onto the bounds.
     out.x[j] = std::clamp(out.x[j], lp.lower_bound(j), lp.upper_bound(j));
-    if (std::abs(out.x[j]) < tol) out.x[j] = 0.0;
+    if (std::abs(out.x[j]) < kTol) out.x[j] = 0.0;
   }
   out.status = LpStatus::kOptimal;
   out.objective = lp.objective_value(out.x);

@@ -108,13 +108,6 @@ class SimplexSolver {
   struct Options {
     /// Hard cap on pivots across both phases.
     int max_iterations = 20000;
-    /// Feasibility / pricing tolerance.
-    double tolerance = 1e-9;
-    /// After this many non-improving pivots switch to Bland's rule.
-    int stall_threshold = 200;
-    /// Size of the pricing candidate list; each refill keeps the
-    /// this-many most attractive columns from one full Dantzig scan.
-    int candidate_list_size = 8;
     /// Record the (entering, leaving) pivot sequence in
     /// LpSolution::pivot_log.
     bool record_pivots = false;

@@ -1,8 +1,21 @@
 #pragma once
 
+#include <cstdint>
+#include <string>
+
 #include "cloud/model.hpp"
 
 namespace palb::testing_fixtures {
+
+/// FNV-1a over the bytes of `text`: pins a generator's or a solver's
+/// serialized output across commits.
+inline std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t digest = 0xcbf29ce484222325ull;  // offset basis
+  for (const unsigned char byte : text) {
+    digest = (digest ^ byte) * 0x100000001b3ull;  // prime
+  }
+  return digest;
+}
 
 /// Small 2-class / 2-front-end / 2-DC system with meaningful price and
 /// distance asymmetry: dc1 is cheap-energy and close, dc2 is expensive

@@ -105,6 +105,12 @@ TEST(BigMNlpPolicy, PlansAndStatsMatchAcrossWorkerCounts) {
             plan_json::run_to_json(wide).dump(2));
   EXPECT_GT(serial.stats.nlp_iterations, 0u);
   EXPECT_TRUE(serial.stats == wide.stats);
+  // Pinned bytes: a change to the formulation's constants, the start
+  // points or the solver moves the plans or the iteration count.
+  EXPECT_EQ(
+      testing_fixtures::fnv1a(plan_json::run_to_json(serial).dump(2)),
+      0x717f2909d1e17372ull);
+  EXPECT_EQ(serial.stats.nlp_iterations, 720u);
 }
 
 TEST(BigMNlpPolicy, OptionValidation) {

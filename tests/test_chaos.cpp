@@ -137,11 +137,11 @@ class WaitsForCancelPolicy : public Policy {
 TEST(Watchdog, ImpossibleDeadlineDegradesButEverySlotStillPlans) {
   const Scenario sc = paper::basic_synthetic(paper::ArrivalSet::kLow);
   PlanHandle live;
-  AsyncPlanner::Options options;
-  options.watchdog.solve_deadline_seconds = 1e-9;  // expires immediately
-  options.watchdog.max_retries = 2;
-  options.watchdog.backoff_base_seconds = 1e-4;  // keep the test fast
-  AsyncPlanner planner(sc, FaultSchedule{}, live, options);
+  AsyncPlanner::Watchdog watchdog;
+  watchdog.solve_deadline_seconds = 1e-9;  // expires immediately
+  watchdog.max_retries = 2;
+  watchdog.backoff_base_seconds = 1e-4;  // keep the test fast
+  AsyncPlanner planner(sc, FaultSchedule{}, live, watchdog);
 
   WaitsForCancelPolicy policy;
   const RunResult run = planner.solve_async(policy, 3).get();
@@ -192,10 +192,10 @@ class RecordsCancelPolicy : public Policy {
 
 /// A planner whose watchdog arms a token on its solve thread's stack for
 /// every job but never fires within a test.
-AsyncPlanner::Options generous_deadline() {
-  AsyncPlanner::Options options;
-  options.watchdog.solve_deadline_seconds = 30.0;
-  return options;
+AsyncPlanner::Watchdog generous_deadline() {
+  AsyncPlanner::Watchdog watchdog;
+  watchdog.solve_deadline_seconds = 30.0;
+  return watchdog;
 }
 
 TEST(Watchdog, CancelTokenIsUninstalledAfterTheJob) {

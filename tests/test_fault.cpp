@@ -7,6 +7,7 @@
 #include <fstream>
 #include <limits>
 
+#include "core/paper_scenarios.hpp"
 #include "fault/fault_json.hpp"
 #include "market/price_library.hpp"
 #include "scenario_fixtures.hpp"
@@ -339,6 +340,30 @@ TEST(FaultGen, DeterministicPerSeedAndValid) {
   fault_gen::Options quiet;
   quiet.fault_rate = 0.0;
   EXPECT_TRUE(fault_gen::generate(topo, 11, quiet).empty());
+
+  // Pinned bytes: a change to any draw, range, duration or kind order
+  // moves these digests. The second input is the e2e benchmark's
+  // paper_faults schedule, the third bench/chaos_driver's random storm.
+  const auto digest = [](const FaultSchedule& schedule) {
+    return testing_fixtures::fnv1a(fault_json::to_json(schedule).dump());
+  };
+  EXPECT_EQ(digest(a), 0x92093a8efdb87c07ull);
+  const Topology worldcup = paper::worldcup_study().topology;
+  fault_gen::Options paper_faults;
+  paper_faults.slots = 401;
+  paper_faults.fault_rate = 0.25;
+  paper_faults.planner_stalls = true;
+  paper_faults.demand_surges = true;
+  EXPECT_EQ(digest(fault_gen::generate(worldcup, 3, paper_faults)),
+            0x56492b012e2efcb1ull);
+  fault_gen::Options storm;
+  storm.slots = 24;
+  storm.fault_rate = 0.35;
+  storm.planner_stalls = true;
+  storm.publish_delays = true;
+  storm.demand_surges = true;
+  EXPECT_EQ(digest(fault_gen::generate(worldcup, 1002, storm)),
+            0x7495f0751333ac03ull);
 }
 
 TEST(FaultGen, CannedAcceptanceMatchesTheIssueSchedule) {
@@ -434,8 +459,8 @@ TEST(FaultGen, ChaosKindsStayOffUnlessOptedIn) {
         e.kind == FaultKind::kDemandSurge) {
       any_chaos = true;
       if (e.kind == FaultKind::kDemandSurge) {
-        EXPECT_GE(e.magnitude, opt.min_surge);
-        EXPECT_LE(e.magnitude, opt.max_surge);
+        EXPECT_GE(e.magnitude, fault_gen::kMinSurge);
+        EXPECT_LE(e.magnitude, fault_gen::kMaxSurge);
       }
     }
   }

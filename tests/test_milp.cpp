@@ -4,6 +4,7 @@
 
 #include "util/error.hpp"
 
+#include <atomic>
 #include <cmath>
 
 #include "util/rng.hpp"
@@ -118,6 +119,43 @@ TEST(Milp, NodeLimitReported) {
   const int y = lp.add_variable(0.0, kInfinity, 1.0);
   lp.add_constraint({{x, 2.0}, {y, 2.0}}, Relation::kLe, 7.0);
   const MilpSolution sol = limited.solve(lp, {x, y});
+  EXPECT_EQ(sol.status, MilpStatus::kNodeLimit);
+}
+
+/// max x + y  s.t. x + y >= 1.5, x + 2y <= 4.5, x, y integer in [0, 3]:
+/// feasible, optimum 3 at (3, 0) or (2, 1).
+LinearProgram two_var_probe() {
+  LinearProgram lp;
+  lp.set_objective_sense(Sense::kMaximize);
+  const int x = lp.add_variable(0.0, 3.0, 1.0);
+  const int y = lp.add_variable(0.0, 3.0, 1.0);
+  lp.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::kGe, 1.5);
+  lp.add_constraint({{x, 1.0}, {y, 2.0}}, Relation::kLe, 4.5);
+  return lp;
+}
+
+TEST(Milp, CancelledRelaxationStopsTheSearchUnproven) {
+  // A cancelled relaxation certifies nothing: it must neither become
+  // the incumbent nor let the search report a proof.
+  const std::atomic<bool> cancel{true};
+  MilpSolver::Options opt;
+  opt.lp.cancel = &cancel;
+  opt.lp.cancel_check_every = 1;
+  const MilpSolution sol = MilpSolver(opt).solve(two_var_probe(), {0, 1});
+  EXPECT_EQ(sol.status, MilpStatus::kNodeLimit);
+  EXPECT_TRUE(sol.x.empty());
+  EXPECT_EQ(sol.nodes_explored, 1);
+}
+
+TEST(Milp, PivotCappedRelaxationLeavesTheSearchUnproven) {
+  const MilpSolution full = solver.solve(two_var_probe(), {0, 1});
+  ASSERT_EQ(full.status, MilpStatus::kOptimal);
+  EXPECT_NEAR(full.objective, 3.0, 1e-7);
+  // Every relaxation stops at its pivot cap, so no subtree is explored:
+  // the feasible MILP must not be reported infeasible.
+  MilpSolver::Options opt;
+  opt.lp.max_iterations = 1;
+  const MilpSolution sol = MilpSolver(opt).solve(two_var_probe(), {0, 1});
   EXPECT_EQ(sol.status, MilpStatus::kNodeLimit);
 }
 

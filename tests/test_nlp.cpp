@@ -143,48 +143,6 @@ TEST(AugLag, MultistartValidation) {
   EXPECT_THROW(solver.solve(p, {0.5, 0.5}), InvalidArgument);
 }
 
-TEST(AugLag, AcceleratedMatchesPlainOnConstrainedProblem) {
-  NlpProblem p = box_problem(2, -2.0, 2.0);
-  p.objective = [](const std::vector<double>& x) { return -(x[0] + x[1]); };
-  p.inequalities.push_back([](const std::vector<double>& x) {
-    return x[0] * x[0] + x[1] * x[1] - 1.0;
-  });
-  AugLagSolver::Options accel_opt;
-  accel_opt.inner_method = AugLagSolver::InnerMethod::kAccelerated;
-  const AugLagSolver accelerated(accel_opt);
-  const NlpResult r = accelerated.solve(p, {0.0, 0.0});
-  EXPECT_TRUE(r.converged);
-  const double inv_sqrt2 = 1.0 / std::sqrt(2.0);
-  EXPECT_NEAR(r.x[0], inv_sqrt2, 5e-3);
-  EXPECT_NEAR(r.x[1], inv_sqrt2, 5e-3);
-}
-
-TEST(AugLag, AccelerationSpeedsUpIllConditionedQuadratic) {
-  // f = x0^2 + 400 x1^2 shifted: plain PG crawls along the narrow axis;
-  // FISTA momentum should reach the same optimum in fewer inner
-  // iterations.
-  NlpProblem p = box_problem(2, -50.0, 50.0);
-  p.objective = [](const std::vector<double>& x) {
-    const double a = x[0] - 3.0;
-    const double b = x[1] - 0.5;
-    return a * a + 400.0 * b * b;
-  };
-  AugLagSolver::Options plain_opt;
-  plain_opt.max_inner = 2000;
-  AugLagSolver::Options accel_opt = plain_opt;
-  accel_opt.inner_method = AugLagSolver::InnerMethod::kAccelerated;
-
-  const NlpResult plain = AugLagSolver(plain_opt).solve(p, {-20.0, -20.0});
-  const NlpResult accel = AugLagSolver(accel_opt).solve(p, {-20.0, -20.0});
-  EXPECT_NEAR(plain.x[0], 3.0, 1e-2);
-  EXPECT_NEAR(accel.x[0], 3.0, 1e-2);
-  EXPECT_NEAR(accel.x[1], 0.5, 1e-2);
-  // FISTA converges to stationarity within the budget; plain PG crawls
-  // along the ill-conditioned axis to the iteration cap.
-  EXPECT_LT(accel.inner_iterations, plain.inner_iterations);
-  EXPECT_LT(accel.objective, plain.objective + 1e-9);
-}
-
 TEST(AugLag, StartOutsideBoxGetsProjected) {
   NlpProblem p = box_problem(1, 0.0, 1.0);
   p.objective = [](const std::vector<double>& x) { return -x[0]; };

@@ -4,6 +4,8 @@
 
 #include "core/balanced_policy.hpp"
 #include "core/optimized_policy.hpp"
+#include "core/scenario_json.hpp"
+#include "scenario_fixtures.hpp"
 #include "util/error.hpp"
 
 namespace palb {
@@ -23,6 +25,21 @@ TEST(ScenarioGen, DeterministicPerSeed) {
       a.topology.num_datacenters() != c.topology.num_datacenters() ||
       a.arrivals[0][0].at(5) != c.arrivals[0][0].at(5);
   EXPECT_TRUE(differs);
+
+  // Pinned bytes: a change to any draw moves these digests. The last
+  // input is the e2e benchmark's fleet_hourly shape.
+  const auto digest = [](const Scenario& scenario) {
+    return testing_fixtures::fnv1a(scenario_json::to_json(scenario).dump());
+  };
+  EXPECT_EQ(digest(a), 0x88d71dff709f0babull);
+  EXPECT_EQ(digest(c), 0x28e527a8be456744ull);
+  scenario_gen::Options fleet;
+  fleet.min_classes = fleet.max_classes = 2;
+  fleet.min_frontends = fleet.max_frontends = 8;
+  fleet.min_datacenters = fleet.max_datacenters = 12;
+  fleet.max_tuf_levels = 3;
+  fleet.zero_rate_probability = 0.0;
+  EXPECT_EQ(digest(scenario_gen::generate(9, fleet)), 0xdc7d1fdeb2c576cbull);
 }
 
 TEST(ScenarioGen, RespectsBounds) {

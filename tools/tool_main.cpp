@@ -948,7 +948,8 @@ int cmd_chaos(const Args& args) {
   result.stale_plan_ttl_slots = opt.stale_plan_ttl_slots;
   result.stalled_routes = report.stalled_routes;
   result.decisions_identical = report.decisions_identical;
-  result.thread_counts = opt.thread_counts;
+  result.thread_counts.assign(serve::kChaosThreadCounts.begin(),
+                              serve::kChaosThreadCounts.end());
   result.timed_qps = report.timed_qps;
   result.p50_ns = report.p50_ns;
   result.p99_ns = report.p99_ns;
